@@ -27,11 +27,6 @@ from .engine import (
     FiringInterval,
     Form,
     InferenceResult,
-    fire,
-    infer,
-    infer_gc,
-    infer_gc_split,
-    infer_nt,
 )
 from .reference import (
     ConsequentSet,
@@ -72,8 +67,7 @@ __all__ = [
     "default_rulebase", "dump_rulebase", "load_rulebase",
     "rulebase_from_dict", "rulebase_to_dict",
     "BoundSource", "ClosedFormEngine", "EngineConfig", "FiringInterval",
-    "Form", "InferenceResult", "fire", "infer", "infer_gc", "infer_gc_split",
-    "infer_nt",
+    "Form", "InferenceResult",
     "ConsequentSet", "DomainTooNarrow", "Join", "RefConfig", "ReferenceEngine",
     "SampledCurve", "TNorm", "ZeroArea", "ZeroMass", "build_output_fou",
     "coa_decomposition_check", "coa_defuzz", "nt_defuzz",

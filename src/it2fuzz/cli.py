@@ -23,7 +23,7 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -77,13 +77,7 @@ def build_engine(rb: RuleBase, token: str, ref: RefConfig | None = None):
     if base in _CLOSED_FORMS:
         return ClosedFormEngine(rb, EngineConfig(form=_CLOSED_FORMS[base],
                                                  bound_source=source))
-    ref = ref if ref is not None else RefConfig()
-    if ref.bound_source is not source:
-        ref = RefConfig(t_norm=ref.t_norm, join=ref.join,
-                        grid_points=ref.grid_points, domain=ref.domain,
-                        consequent_width=ref.consequent_width,
-                        bound_source=source,
-                        degenerate_epsilon=ref.degenerate_epsilon)
+    ref = replace(ref if ref is not None else RefConfig(), bound_source=source)
     return ReferenceEngine(rb, ref, method=_REF_METHODS[base])
 
 
@@ -235,9 +229,10 @@ def run_bench(rb: RuleBase, engine_tokens: tuple[str, ...], probes: int,
               seed: int = LCG_SEED, warmup: int = 100) -> dict:
     """Per-inference timing stats for each engine over one shared probe stream.
 
-    The first ``warmup`` inferences are run but not measured.  Speedups
-    are reported per method family when exactly one closed and one
-    reference engine of that family are present.
+    The first ``warmup`` inferences are run but not measured.  A method
+    family gets a speedup when exactly one of its reference engines is
+    present, over a closed engine of the family: preferably one with the
+    same bound source, and the plain form before ``-split``.
     """
     if probes < 1:
         raise CliError("no probes")
@@ -262,13 +257,16 @@ def run_bench(rb: RuleBase, engine_tokens: tuple[str, ...], probes: int,
             "count": len(samples),
         }
     speedup = {}
+    modes = {t: parse_engine_mode(t) for t in engine_tokens}
     for family in ("gc", "nt"):
-        closed = [t for t in engine_tokens
-                  if parse_engine_mode(t)[0] in _CLOSED_FORMS
-                  and parse_engine_mode(t)[0].startswith(family)]
-        ref = [t for t in engine_tokens if parse_engine_mode(t)[0] == f"{family}-ref"]
-        if len(closed) == 1 and len(ref) == 1:
-            speedup[family] = means[ref[0]] / means[closed[0]]
+        closed = [t for t, (base, _) in modes.items()
+                  if base in _CLOSED_FORMS and base.startswith(family)]
+        ref = [t for t, (base, _) in modes.items() if base == f"{family}-ref"]
+        if closed and len(ref) == 1:
+            source = modes[ref[0]][1]
+            pick = min(closed, key=lambda t: (modes[t][1] is not source,
+                                              modes[t][0].endswith("-split")))
+            speedup[family] = means[ref[0]] / means[pick]
     if speedup:
         report["speedup"] = speedup
     return report

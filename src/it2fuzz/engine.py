@@ -1,20 +1,26 @@
 """Closed-form interval type-2 inference.
 
-Each inference runs in three short steps: per-input membership bounds,
+``ClosedFormEngine`` binds a rule base to an ``EngineConfig`` and runs
+each inference in three short steps: per-input membership bounds,
 per-rule firing intervals (product t-norm), and a single weighted-average
 formula that goes straight from firing intervals to a crisp output.  No
 output-domain discretization is involved; the discretized counterparts
 live in the reference module.
 
-Three closed forms are provided:
+``EngineConfig.form`` picks one of three closed forms:
 
-* ``infer_gc``: band-weighted average, weights upper - lower firing.
-* ``infer_gc_split``: variant with separate upper/lower consequent
-  centers (reduces to ``infer_gc`` when the two centers coincide).
-* ``infer_nt``: sum-weighted average, weights upper + lower firing.
+* ``gc-closed``: band-weighted average, weights upper - lower firing.
+* ``gc-closed-split``: variant with separate upper/lower consequent
+  centers (reduces to ``gc-closed`` when the two centers coincide).
+* ``nt-closed``: sum-weighted average, weights upper + lower firing.
 
 All sums run through ``math.fsum`` so results are exactly rounded; a
 sign-symmetric rule base therefore yields bit-exact odd symmetry.
+
+Degenerate cases are flagged, never raised: a collapsed FOU band falls
+back to the upper-firing average, and an input that fires nothing gives
+``(0.0, degenerate=True)``.  A non-finite input (NaN or +-inf in any
+slot) also gives ``(0.0, degenerate=True)``.
 """
 
 from __future__ import annotations
@@ -22,9 +28,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .mf import IT2Gaussian
 from .rulebase import RuleBase
 
 __all__ = [
@@ -33,11 +38,6 @@ __all__ = [
     "EngineConfig",
     "FiringInterval",
     "InferenceResult",
-    "fire",
-    "infer",
-    "infer_gc",
-    "infer_gc_split",
-    "infer_nt",
     "ClosedFormEngine",
 ]
 
@@ -80,120 +80,13 @@ class InferenceResult(NamedTuple):
     degenerate: bool
 
 
-def _bound_fns(s: IT2Gaussian, source: BoundSource) -> tuple[Callable, Callable]:
-    if source is BoundSource.EXACT:
-        return s.umf, s.lmf
-    if s.fitted_umf is None or s.fitted_lmf is None:
-        raise ValueError(
-            "fitted bounds requested but not attached; call IT2Gaussian.fit() first"
-        )
-    return s.fitted_umf, s.fitted_lmf
-
-
-def fire(rb: RuleBase, cfg: EngineConfig, x: Sequence[float]) -> list[FiringInterval]:
-    """Per-rule firing intervals at input vector x.
-
-    Upper firing is the product of per-input upper bounds, lower firing
-    the product of lower bounds, so lower <= upper always holds.
-    """
-    rb.require_valid()
-    if len(x) != rb.n_inputs:
-        raise ValueError(f"expected {rb.n_inputs} inputs, got {len(x)}")
-    uppers: list[list[float]] = []
-    lowers: list[list[float]] = []
-    for p, xi in zip(rb.partitions, x):
-        xi = float(xi)
-        us, ls = [], []
-        for s in p.sets:
-            ub, lb = _bound_fns(s, cfg.bound_source)
-            us.append(ub(xi))
-            ls.append(lb(xi))
-        uppers.append(us)
-        lowers.append(ls)
-    out = []
-    for rule in rb.rules:
-        u = 1.0
-        l = 1.0
-        for i, a in enumerate(rule.antecedent):
-            u *= uppers[i][a]
-            l *= lowers[i][a]
-        out.append(FiringInterval(l, u))
-    return out
-
-
-def _upper_average(rb: RuleBase, firing: list[FiringInterval], eps: float,
-                   centers: list[float]) -> float:
-    den = math.fsum(f.upper for f in firing)
-    if den <= eps:
-        return 0.0
-    num = math.fsum(c * f.upper for c, f in zip(centers, firing))
-    return num / den
-
-
-def infer_gc(rb: RuleBase, cfg: EngineConfig, x: Sequence[float]) -> InferenceResult:
-    """Band-weighted closed form: sum b_k (upper_k - lower_k) / sum (upper_k - lower_k).
-
-    When the FOU band collapses (denominator below the degenerate
-    epsilon) the result falls back to the upper-firing weighted average
-    and is flagged, never raising.
-    """
-    firing = fire(rb, cfg, x)
-    centers = [r.consequent for r in rb.rules]
-    den = math.fsum(f.upper - f.lower for f in firing)
-    if den < cfg.degenerate_epsilon:
-        return InferenceResult(_upper_average(rb, firing, cfg.degenerate_epsilon, centers), True)
-    num = math.fsum(c * (f.upper - f.lower) for c, f in zip(centers, firing))
-    return InferenceResult(num / den, False)
-
-
-def infer_gc_split(rb: RuleBase, cfg: EngineConfig, x: Sequence[float]) -> InferenceResult:
-    """Split-consequent variant: (sum bu_k upper_k - sum bl_k lower_k) / sum (upper_k - lower_k)."""
-    if not rb.is_split:
-        raise ValueError("split form needs split consequents on every rule")
-    firing = fire(rb, cfg, x)
-    den = math.fsum(f.upper - f.lower for f in firing)
-    if den < cfg.degenerate_epsilon:
-        centers = [r.consequent_upper for r in rb.rules]
-        return InferenceResult(_upper_average(rb, firing, cfg.degenerate_epsilon, centers), True)
-    terms = [r.consequent_upper * f.upper for r, f in zip(rb.rules, firing)]
-    terms.extend(-r.consequent_lower * f.lower for r, f in zip(rb.rules, firing))
-    return InferenceResult(math.fsum(terms) / den, False)
-
-
-def infer_nt(rb: RuleBase, cfg: EngineConfig, x: Sequence[float]) -> InferenceResult:
-    """Sum-weighted closed form: sum b_k (upper_k + lower_k) / sum (upper_k + lower_k).
-
-    The denominator only vanishes when every firing interval is zero; in
-    that case the output is 0 and flagged.
-    """
-    firing = fire(rb, cfg, x)
-    den = math.fsum(f.upper + f.lower for f in firing)
-    if den <= cfg.degenerate_epsilon:
-        return InferenceResult(0.0, True)
-    num = math.fsum(
-        r.consequent * (f.upper + f.lower) for r, f in zip(rb.rules, firing)
-    )
-    return InferenceResult(num / den, False)
-
-
-_FORM_FN = {
-    Form.GC_CLOSED: infer_gc,
-    Form.GC_CLOSED_SPLIT: infer_gc_split,
-    Form.NT_CLOSED: infer_nt,
-}
-
-
-def infer(rb: RuleBase, cfg: EngineConfig, x: Sequence[float]) -> InferenceResult:
-    """Dispatch to the closed form named by cfg.form."""
-    return _FORM_FN[cfg.form](rb, cfg, x)
-
-
 class ClosedFormEngine:
-    """A rule base bound to an engine config, exposing infer(x).
+    """A rule base bound to an engine config, exposing infer(x) and fire(x).
 
-    Construction validates everything once so the per-call path can skip
-    revalidation and evaluate the fitted Gaussians inline; outputs are
-    bit-identical to the module-level infer functions.
+    Construction validates everything once (rule base, split consequents
+    for the split form, attached fitted bounds for the fitted source), so
+    the per-call path skips revalidation and evaluates the fitted
+    Gaussians inline.
     """
 
     def __init__(self, rb: RuleBase, cfg: EngineConfig | None = None):
@@ -201,10 +94,12 @@ class ClosedFormEngine:
         rb.require_valid()
         if cfg.form is Form.GC_CLOSED_SPLIT and not rb.is_split:
             raise ValueError("split form needs split consequents on every rule")
-        if cfg.bound_source is BoundSource.FITTED:
-            for p in rb.partitions:
-                for s in p.sets:
-                    _bound_fns(s, cfg.bound_source)
+        fitted = cfg.bound_source is BoundSource.FITTED
+        if fitted and any(s.fitted_umf is None or s.fitted_lmf is None
+                          for p in rb.partitions for s in p.sets):
+            raise ValueError(
+                "fitted bounds requested but not attached; call IT2Gaussian.fit() first"
+            )
         self.rb = rb
         self.cfg = cfg
         self._n_inputs = rb.n_inputs
@@ -215,7 +110,7 @@ class ClosedFormEngine:
             self._cons_l = tuple(r.consequent_lower for r in rb.rules)
         # Per input, per set: fitted parameters for inline evaluation, or
         # the exact bound methods (branchy, left as calls).
-        if cfg.bound_source is BoundSource.FITTED:
+        if fitted:
             self._params = tuple(
                 tuple((s.fitted_umf.mean, s.fitted_umf.sigma, s.fitted_umf.scale,
                        s.fitted_lmf.mean, s.fitted_lmf.sigma, s.fitted_lmf.scale)
@@ -228,9 +123,10 @@ class ClosedFormEngine:
                 tuple((s.umf, s.lmf) for s in p.sets) for p in rb.partitions
             )
 
-    def _firing(self, x: Sequence[float]) -> tuple[list[list[float]], list[list[float]]]:
-        # Same arithmetic and evaluation order as fire(), minus the
-        # per-call dispatch, so the floats come out bit-identical.
+    def _firing(self, x: Sequence[float]) -> tuple[list[float], list[float]]:
+        """Per-rule upper and lower firing; lower <= upper always holds."""
+        if len(x) != self._n_inputs:
+            raise ValueError(f"expected {self._n_inputs} inputs, got {len(x)}")
         uppers: list[list[float]] = []
         lowers: list[list[float]] = []
         if self._params is not None:
@@ -249,12 +145,6 @@ class ClosedFormEngine:
             for sets, xi in zip(self._exact, x):
                 uppers.append([ub(xi) for ub, _ in sets])
                 lowers.append([lb(xi) for _, lb in sets])
-        return uppers, lowers
-
-    def infer(self, x: Sequence[float]) -> InferenceResult:
-        if len(x) != self._n_inputs:
-            raise ValueError(f"expected {self._n_inputs} inputs, got {len(x)}")
-        uppers, lowers = self._firing(x)
         ups: list[float] = []
         los: list[float] = []
         for ant in self._ante:
@@ -265,22 +155,37 @@ class ClosedFormEngine:
                 l *= lowers[i][a]
             ups.append(u)
             los.append(l)
+        return ups, los
+
+    def fire(self, x: Sequence[float]) -> list[FiringInterval]:
+        """Per-rule firing intervals at input vector x, in rule order."""
+        ups, los = self._firing(x)
+        return [FiringInterval(l, u) for u, l in zip(ups, los)]
+
+    def infer(self, x: Sequence[float]) -> InferenceResult:
+        """Crisp output of the configured closed form at input vector x."""
+        ups, los = self._firing(x)
         eps = self.cfg.degenerate_epsilon
         form = self.cfg.form
+        # A NaN input makes every sum below NaN, and NaN fails every
+        # comparison: each test is written so that it lands in the
+        # flagged branch without costing finite inputs anything.
         if form is Form.NT_CLOSED:
             sums = [u + l for u, l in zip(ups, los)]
             den = math.fsum(sums)
-            if den <= eps:
+            if not den > eps:
                 return InferenceResult(0.0, True)
             return InferenceResult(
                 math.fsum(c * s for c, s in zip(self._cons, sums)) / den, False
             )
         diffs = [u - l for u, l in zip(ups, los)]
         den = math.fsum(diffs)
-        if den < eps:
+        if not den >= eps:
             cons = self._cons_u if form is Form.GC_CLOSED_SPLIT else self._cons
             uden = math.fsum(ups)
-            if uden <= eps:
+            # Exact uncertain-mean bounds give umf(nan) == 1.0, so the
+            # upper sum alone can be finite for a NaN input.
+            if not uden > eps or math.isnan(den):
                 return InferenceResult(0.0, True)
             return InferenceResult(
                 math.fsum(c * u for c, u in zip(cons, ups)) / uden, True

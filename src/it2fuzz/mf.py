@@ -194,6 +194,11 @@ def default_fit_window(m: IT2Gaussian) -> tuple[float, float]:
     return (m.center - half, m.center + half)
 
 
+def lower_exceeds_upper(umf: ScaledGaussian, lmf: ScaledGaussian, xs: np.ndarray) -> bool:
+    """Whether ``lmf`` pokes above ``umf`` anywhere on ``xs``, beyond a 1e-9 slack."""
+    return bool(np.any(lmf.sample(xs) > umf.sample(xs) + 1e-9))
+
+
 def _golden_min(f, lo: float, hi: float, tol: float, max_iter: int) -> float:
     """Golden-section minimum of a unimodal function on [lo, hi].
 
@@ -303,7 +308,7 @@ def fit_bounds(
         )
     fitted_lmf = ScaledGaussian(center, sigma, scale)
 
-    if np.any(fitted_lmf.sample(xs) > fitted_umf.sample(xs) + 1e-9):
+    if lower_exceeds_upper(fitted_umf, fitted_lmf, xs):
         raise FitDominanceViolated(
             "fitted lower bound exceeds fitted upper bound on the fit grid"
         )

@@ -7,8 +7,11 @@ weighted sums over the grid.  With singleton-like consequents (width well
 below the center spacing) the two defuzzifiers converge to the matching
 closed forms, which is exactly what the equivalence tests exercise:
 
-* ``coa_defuzz``  (centroid of the FOU band)      <-> ``infer_gc``
-* ``nt_defuzz``   (centroid of the band midline)  <-> ``infer_nt``
+* ``coa_defuzz``  (centroid of the FOU band)      <-> ``gc-closed``
+* ``nt_defuzz``   (centroid of the band midline)  <-> ``nt-closed``
+
+Firing intervals come from ``ClosedFormEngine.fire``, so both pipelines
+share one firing step and differ only in what follows it.
 
 Aggregation accumulates implied curves in a canonical rule order (sorted
 by consequent center, then firing), so permuting the rule list cannot
@@ -27,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import BoundSource, EngineConfig, InferenceResult, fire
+from .engine import BoundSource, ClosedFormEngine, EngineConfig, InferenceResult
 from .rulebase import RuleBase
 
 __all__ = [
@@ -178,10 +181,10 @@ def build_output_fou(rb: RuleBase, ref: RefConfig,
     DomainTooNarrow if any consequent center sits within five widths of a
     domain edge (its Gaussian would be visibly truncated).
     """
-    rb.require_valid()
+    closed = ClosedFormEngine(rb, EngineConfig(bound_source=ref.bound_source))
     centers = [r.consequent for r in rb.rules]
     _check_domain(centers, ref)
-    firing = fire(rb, EngineConfig(bound_source=ref.bound_source), x)
+    firing = closed.fire(x)
     cs = ConsequentSet(tuple(centers), ref.consequent_width)
     ys = np.linspace(ref.domain[0], ref.domain[1], ref.grid_points)
     gmat = cs.matrix(ys)
@@ -242,29 +245,28 @@ class ReferenceEngine:
     ``method`` picks the defuzzifier: "gc" for the band centroid, "nt"
     for the midline centroid.  The consequent matrix is input-independent
     and cached at construction; every infer still does its full grid
-    sweep.  A collapsed band (gc) or empty midline (nt) yields a flagged
-    zero instead of an exception, mirroring the closed-form fallbacks'
-    never-abort policy.
+    sweep.  A collapsed band (gc), an empty midline (nt) or a non-finite
+    input yields a flagged zero instead of an exception, mirroring the
+    closed-form fallbacks' never-abort policy.
     """
 
     def __init__(self, rb: RuleBase, ref: RefConfig | None = None, method: str = "gc"):
         if method not in ("gc", "nt"):
             raise ValueError(f"method must be 'gc' or 'nt', got {method!r}")
         ref = ref if ref is not None else RefConfig()
-        rb.require_valid()
+        self._closed = ClosedFormEngine(rb, EngineConfig(bound_source=ref.bound_source))
         centers = [r.consequent for r in rb.rules]
         _check_domain(centers, ref)
         self.rb = rb
         self.ref = ref
         self.method = method
-        self._fire_cfg = EngineConfig(bound_source=ref.bound_source)
         self._centers = centers
         self._ys = np.linspace(ref.domain[0], ref.domain[1], ref.grid_points)
         self._gmat = ConsequentSet(tuple(centers), ref.consequent_width).matrix(self._ys)
 
     def infer(self, x: Sequence[float]) -> InferenceResult:
         ref = self.ref
-        firing = fire(self.rb, self._fire_cfg, x)
+        firing = self._closed.fire(x)
         order = _canonical_order(self._centers, firing)
         upper = _aggregate([f.upper for f in firing], self._gmat, order,
                            ref.t_norm, ref.join)
@@ -273,11 +275,11 @@ class ReferenceEngine:
         if self.method == "gc":
             band = upper - lower
             total = float(band.sum())
-            if total <= ref.degenerate_epsilon:
+            if not total > ref.degenerate_epsilon:  # NaN too
                 return InferenceResult(0.0, True)
             return InferenceResult(float(np.dot(self._ys, band) / total), False)
         mid = 0.5 * (upper + lower)
         total = float(mid.sum())
-        if total <= ref.degenerate_epsilon:
+        if not total > ref.degenerate_epsilon:  # NaN too
             return InferenceResult(0.0, True)
         return InferenceResult(float(np.dot(self._ys, mid) / total), False)

@@ -9,7 +9,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .mf import UNCERTAIN_MEAN, UNCERTAIN_SIGMA, IT2Gaussian, ScaledGaussian
+import numpy as np
+
+from .mf import (UNCERTAIN_MEAN, UNCERTAIN_SIGMA, IT2Gaussian, ScaledGaussian,
+                 lower_exceeds_upper)
 
 __all__ = [
     "Partition",
@@ -93,6 +96,10 @@ class Rule:
         object.__setattr__(self, "antecedent", tuple(int(i) for i in self.antecedent))
         if (self.consequent_upper is None) != (self.consequent_lower is None):
             raise ValueError("split consequents must set both upper and lower values")
+        object.__setattr__(self, "consequent", float(self.consequent))
+        if self.is_split:
+            object.__setattr__(self, "consequent_upper", float(self.consequent_upper))
+            object.__setattr__(self, "consequent_lower", float(self.consequent_lower))
 
     @property
     def is_split(self) -> bool:
@@ -173,6 +180,22 @@ class RuleBase:
                 "mixed_consequent_mode",
                 "some rules use split consequents and some do not",
             ))
+        for pos, rule in enumerate(self.rules):
+            cons = (rule.consequent, rule.consequent_upper, rule.consequent_lower)
+            if not all(c is None or math.isfinite(c) for c in cons):
+                out.append(Violation("non_finite", f"rule {pos} has a non-finite consequent"))
+        for k, p in enumerate(self.partitions):
+            xs = np.linspace(p.universe[0], p.universe[1], 1001)
+            for j, s in enumerate(p.sets):
+                umf, lmf = s.fitted_umf, s.fitted_lmf
+                if umf is None or lmf is None:
+                    continue
+                where = f"set {p.label(j)} of input {k}"
+                if not (math.isfinite(umf.mean) and math.isfinite(lmf.mean)):
+                    out.append(Violation("non_finite", f"{where} has a non-finite fitted mean"))
+                elif lower_exceeds_upper(umf, lmf, xs):
+                    out.append(Violation("fitted_dominance",
+                                         f"{where} has its fitted lower bound above the upper"))
         return out
 
     @cached_property
@@ -285,23 +308,32 @@ def rulebase_to_dict(rb: RuleBase) -> dict:
 
 
 def rulebase_from_dict(d: dict) -> RuleBase:
-    partitions = tuple(
-        Partition(
-            universe=tuple(entry["universe"]),
-            sets=tuple(_set_from_dict(sd) for sd in entry["sets"]),
-            names=tuple(entry["names"]) if "names" in entry else None,
+    """Build a rule base from its JSON form.
+
+    Data of the wrong shape (a missing key, a list or a number where an
+    object belongs) raises RuleBaseInvalid with one ``schema`` violation.
+    """
+    try:
+        partitions = tuple(
+            Partition(
+                universe=tuple(entry["universe"]),
+                sets=tuple(_set_from_dict(sd) for sd in entry["sets"]),
+                names=tuple(entry["names"]) if "names" in entry else None,
+            )
+            for entry in d["inputs"]
         )
-        for entry in d["inputs"]
-    )
-    rules = tuple(
-        Rule(
-            antecedent=tuple(rd["if"]),
-            consequent=float(rd["b"]),
-            consequent_upper=rd.get("b_upper"),
-            consequent_lower=rd.get("b_lower"),
+        rules = tuple(
+            Rule(
+                antecedent=tuple(rd["if"]),
+                consequent=rd["b"],
+                consequent_upper=rd.get("b_upper"),
+                consequent_lower=rd.get("b_lower"),
+            )
+            for rd in d["rules"]
         )
-        for rd in d["rules"]
-    )
+    except (TypeError, KeyError, AttributeError) as exc:
+        msg = f"rule data does not fit the schema ({type(exc).__name__}: {exc})"
+        raise RuleBaseInvalid((Violation("schema", msg),)) from None
     return RuleBase(partitions=partitions, rules=rules)
 
 

@@ -115,6 +115,21 @@ def test_surface_rejects_invalid_rules(tmp_path, capsys):
     assert "[missing_antecedent]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mangle", [
+    lambda d: [d],
+    lambda d: {**d, "rules": [{**d["rules"][0], "if": 5}] + d["rules"][1:]},
+    lambda d: {**d, "inputs": 3},
+], ids=["top_level_list", "scalar_antecedent", "scalar_inputs"])
+def test_surface_rejects_malformed_rule_file(mangle, tmp_path, capsys):
+    d = rulebase_to_dict(default_rulebase())
+    rules = tmp_path / "malformed.json"
+    rules.write_text(json.dumps(mangle(d)))
+    rc = main(["surface", "--rules", str(rules), "--out",
+               str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_out_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("IT2FUZZ_OUT_DIR", str(tmp_path))
     assert main(["surface", "--grid", "2", "--out", "rel.csv"]) == 0
@@ -225,6 +240,15 @@ def test_bench_report_shape():
         assert stats["mean_ns"] > 0.0
         assert stats["median_ns"] > 0.0
     assert report["speedup"]["gc"] > 0.0
+
+
+def test_bench_pairs_reference_with_same_source_closed_form():
+    report = run_bench(RB, ("gc-closed", "gc-closed-exact", "gc-ref"), 50)
+    means = {t: e["mean_ns"] for t, e in report["engines"].items()}
+    assert report["speedup"] == {"gc": means["gc-ref"] / means["gc-closed"]}
+    report = run_bench(RB, ("gc-closed", "gc-closed-exact", "gc-ref-exact"), 50)
+    means = {t: e["mean_ns"] for t, e in report["engines"].items()}
+    assert report["speedup"] == {"gc": means["gc-ref-exact"] / means["gc-closed-exact"]}
 
 
 def test_bench_single_engine_no_speedup(tmp_path):

@@ -18,13 +18,8 @@ from it2fuzz import (
     RuleBase,
     RuleBaseInvalid,
     default_rulebase,
-    fire,
-    infer,
-    infer_gc,
-    infer_gc_split,
-    infer_nt,
 )
-from it2fuzz.cli import lcg_probes
+from it2fuzz.cli import build_engine
 
 from helpers import collapsed_rulebase, split_rulebase
 from oracles import (DEMO_CONSEQUENTS, GC_CORNER, NT_CORNER, SPLIT_ORIGIN,
@@ -44,7 +39,7 @@ def one_rule_base(sigma_lo, sigma_hi, consequent, upper=None, lower=None):
 
 
 def test_fire_row_major_order_and_center_rule():
-    firing = fire(RB, CFG, (0.0, 0.0))
+    firing = ClosedFormEngine(RB, CFG).fire((0.0, 0.0))
     assert len(firing) == 9
     # center rule (Z,Z): both fitted bounds peak at 0, so the product of
     # the two lower peaks is the lmf scale squared
@@ -56,26 +51,26 @@ def test_fire_row_major_order_and_center_rule():
 
 
 def test_fire_far_input_underflows_to_zero():
-    for f in fire(RB, CFG, (30.0, 0.0)):
+    for f in ClosedFormEngine(RB, CFG).fire((30.0, 0.0)):
         assert f == (0.0, 0.0)
 
 
 def test_fire_collapsed_fou_gives_equal_bounds():
-    for f in fire(collapsed_rulebase(), CFG_EXACT, (0.3, -0.4)):
+    for f in ClosedFormEngine(collapsed_rulebase(), CFG_EXACT).fire((0.3, -0.4)):
         assert f.lower == f.upper
 
 
 def test_fire_rejects_wrong_input_count():
     with pytest.raises(ValueError):
-        fire(RB, CFG, (0.0,))
+        ClosedFormEngine(RB, CFG).fire((0.0,))
 
 
 def test_gc_zero_at_origin():
-    assert infer_gc(RB, CFG, (0.0, 0.0)) == (0.0, False)
+    assert ClosedFormEngine(RB, CFG).infer((0.0, 0.0)) == (0.0, False)
 
 
 def test_gc_corner_matches_term_oracle():
-    r = infer_gc(RB, CFG, (-1.0, -1.0))
+    r = ClosedFormEngine(RB, CFG).infer((-1.0, -1.0))
     assert not r.degenerate
     assert r.value == pytest.approx(demo_gc(-1.0, -1.0), abs=1e-12)
     assert r.value == pytest.approx(GC_CORNER, abs=1e-12)
@@ -83,7 +78,7 @@ def test_gc_corner_matches_term_oracle():
 
 
 def test_nt_corner_matches_term_oracle():
-    r = infer_nt(RB, NT_CFG, (-1.0, -1.0))
+    r = ClosedFormEngine(RB, NT_CFG).infer((-1.0, -1.0))
     assert r.value == pytest.approx(demo_nt(-1.0, -1.0), abs=1e-12)
     assert r.value == pytest.approx(NT_CORNER, abs=1e-12)
 
@@ -93,10 +88,10 @@ def test_single_rule_nt_returns_consequent():
     rb = one_rule_base(1.0 / math.sqrt(2.0 * math.log(5.0)),
                        1.0 / math.sqrt(2.0 * math.log(1.0 / 0.6)), 0.5)
     cfg = EngineConfig(form=Form.NT_CLOSED, bound_source=BoundSource.EXACT)
-    f = fire(rb, cfg, (1.0,))[0]
+    f = ClosedFormEngine(rb, cfg).fire((1.0,))[0]
     assert f.upper == pytest.approx(0.6, abs=1e-12)
     assert f.lower == pytest.approx(0.2, abs=1e-12)
-    assert infer_nt(rb, cfg, (1.0,)).value == 0.5
+    assert ClosedFormEngine(rb, cfg).infer((1.0,)).value == 0.5
 
 
 def test_single_rule_split_value():
@@ -104,25 +99,25 @@ def test_single_rule_split_value():
     rb = one_rule_base(1.0 / math.sqrt(2.0 * math.log(2.5)),
                        1.0 / math.sqrt(2.0 * math.log(1.25)), 0.5, 1.0, 0.0)
     cfg = EngineConfig(form=Form.GC_CLOSED_SPLIT, bound_source=BoundSource.EXACT)
-    assert infer_gc_split(rb, cfg, (1.0,)).value == pytest.approx(2.0, abs=1e-12)
+    assert ClosedFormEngine(rb, cfg).infer((1.0,)).value == pytest.approx(2.0, abs=1e-12)
 
 
 def test_split_with_equal_offsets_reduces_to_gc():
     same = split_rulebase(RB, offset=0.0)
     for x1 in np.linspace(-1.0, 1.0, 9):
         for x2 in np.linspace(-1.0, 1.0, 9):
-            a = infer_gc_split(same, SPLIT_CFG, (x1, x2)).value
-            b = infer_gc(RB, CFG, (x1, x2)).value
+            a = ClosedFormEngine(same, SPLIT_CFG).infer((x1, x2)).value
+            b = ClosedFormEngine(RB, CFG).infer((x1, x2)).value
             assert abs(a - b) <= 1e-15
 
 
 def test_split_origin_value():
     srb = split_rulebase(RB, offset=0.1)
-    r = infer_gc_split(srb, SPLIT_CFG, (0.0, 0.0))
+    r = ClosedFormEngine(srb, SPLIT_CFG).infer((0.0, 0.0))
     assert r.value == pytest.approx(SPLIT_ORIGIN, abs=1e-15)
     # same thing assembled term by term: gc part vanishes at the origin,
     # leaving offset * sum(u + l) / sum(u - l)
-    firing = fire(RB, CFG, (0.0, 0.0))
+    firing = ClosedFormEngine(RB, CFG).fire((0.0, 0.0))
     expect = 0.1 * math.fsum(f.upper + f.lower for f in firing) \
         / math.fsum(f.upper - f.lower for f in firing)
     assert r.value == pytest.approx(expect, abs=1e-15)
@@ -132,20 +127,21 @@ def test_odd_symmetry_is_bitexact():
     # mirrored inputs produce exactly mirrored firing and the consequent
     # table is skew symmetric, so fsum gives the negation bit for bit
     axis = np.linspace(-1.5, 1.5, 21)
+    gc, nt = ClosedFormEngine(RB, CFG), ClosedFormEngine(RB, NT_CFG)
     for x1 in axis:
         for x2 in axis:
             x = (float(x1), float(x2))
             mx = (-float(x1), -float(x2))
-            assert infer_gc(RB, CFG, x).value == -infer_gc(RB, CFG, mx).value
-            assert infer_nt(RB, NT_CFG, x).value == -infer_nt(RB, NT_CFG, mx).value
+            assert gc.infer(x).value == -gc.infer(mx).value
+            assert nt.infer(x).value == -nt.infer(mx).value
 
 
 @settings(max_examples=150, deadline=None)
 @given(x1=st.floats(-1.5, 1.5), x2=st.floats(-1.5, 1.5))
 def test_output_stays_in_consequent_hull(x1, x2):
     lo, hi = min(DEMO_CONSEQUENTS), max(DEMO_CONSEQUENTS)
-    for cfg, fn in ((CFG, infer_gc), (NT_CFG, infer_nt)):
-        r = fn(RB, cfg, (x1, x2))
+    for cfg in (CFG, NT_CFG):
+        r = ClosedFormEngine(RB, cfg).infer((x1, x2))
         if not r.degenerate:
             assert lo <= r.value <= hi
 
@@ -155,37 +151,25 @@ def test_collapsed_fou_falls_back_to_type1():
     ncfg = EngineConfig(form=Form.NT_CLOSED, bound_source=BoundSource.EXACT)
     for x in ((0.3, -0.7), (-1.0, 0.25), (0.9, 0.9)):
         t1 = t1_center_average(x[0], x[1], 0.418)
-        g = infer_gc(rb, CFG_EXACT, x)
-        n = infer_nt(rb, ncfg, x)
+        g = ClosedFormEngine(rb, CFG_EXACT).infer(x)
+        n = ClosedFormEngine(rb, ncfg).infer(x)
         assert g.degenerate and not n.degenerate
         assert g.value == pytest.approx(t1, abs=1e-12)
         assert n.value == pytest.approx(t1, abs=1e-12)
 
 
 def test_all_zero_firing_flags_degenerate_zero():
-    assert infer_gc(RB, CFG, (30.0, 30.0)) == (0.0, True)
-    assert infer_nt(RB, NT_CFG, (30.0, 30.0)) == (0.0, True)
-
-
-def test_infer_dispatches_on_form():
-    x = (0.4, -0.2)
-    assert infer(RB, CFG, x) == infer_gc(RB, CFG, x)
-    assert infer(RB, NT_CFG, x) == infer_nt(RB, NT_CFG, x)
-    srb = split_rulebase(RB)
-    assert infer(srb, SPLIT_CFG, x) == infer_gc_split(srb, SPLIT_CFG, x)
+    assert ClosedFormEngine(RB, CFG).infer((30.0, 30.0)) == (0.0, True)
+    assert ClosedFormEngine(RB, NT_CFG).infer((30.0, 30.0)) == (0.0, True)
 
 
 def test_split_form_requires_split_consequents():
-    with pytest.raises(ValueError):
-        infer_gc_split(RB, SPLIT_CFG, (0.0, 0.0))
     with pytest.raises(ValueError):
         ClosedFormEngine(RB, SPLIT_CFG)
 
 
 def test_fitted_source_requires_attached_bounds():
     rb = collapsed_rulebase()  # built without fitted stand-ins
-    with pytest.raises(ValueError, match="fit"):
-        infer_gc(rb, CFG, (0.0, 0.0))
     with pytest.raises(ValueError, match="fit"):
         ClosedFormEngine(rb, CFG)
 
@@ -201,38 +185,21 @@ def test_engine_rejects_wrong_input_count():
         ClosedFormEngine(RB).infer((0.0,))
 
 
-def test_engine_object_matches_module_functions_bitwise():
-    # the engine precomputes parameters and inlines the Gaussian, so this
-    # equality is the guard that it kept the arithmetic identical
-    points = lcg_probes(200) + [(0.0, 0.0), (-1.0, -1.0), (1.0, 1.0), (0.5, -0.5)]
-    srb = split_rulebase(RB)
-    cases = [
-        (RB, CFG, infer_gc), (RB, NT_CFG, infer_nt),
-        (RB, CFG_EXACT, infer_gc),
-        (RB, EngineConfig(form=Form.NT_CLOSED, bound_source=BoundSource.EXACT),
-         infer_nt),
-        (srb, SPLIT_CFG, infer_gc_split),
-        (srb, EngineConfig(form=Form.GC_CLOSED_SPLIT,
-                           bound_source=BoundSource.EXACT), infer_gc_split),
-    ]
-    for rb, cfg, fn in cases:
-        engine = ClosedFormEngine(rb, cfg)
-        for x in points:
-            assert engine.infer(x) == fn(rb, cfg, x)
-
-
-def test_engine_object_degenerate_path_matches_functions():
-    rb = collapsed_rulebase()
-    engine = ClosedFormEngine(rb, CFG_EXACT)
-    for x in lcg_probes(25):
-        r = engine.infer(x)
-        assert r == infer_gc(rb, CFG_EXACT, x)
-        assert r.degenerate
-
-
 def test_neighboring_grid_outputs_stay_close():
     engine = ClosedFormEngine(RB)
     axis = np.linspace(-1.0, 1.0, 41)
     vals = np.array([[engine.infer((a, b)).value for b in axis] for a in axis])
     assert float(np.max(np.abs(np.diff(vals, axis=0)))) < 0.2
     assert float(np.max(np.abs(np.diff(vals, axis=1)))) < 0.2
+
+
+@pytest.mark.parametrize("token", ["gc-closed", "gc-closed-split", "nt-closed",
+                                   "gc-closed-exact", "gc-closed-split-exact",
+                                   "nt-closed-exact"])
+def test_non_finite_input_gives_flagged_zero(token):
+    # exact bounds give umf(nan) == 1.0, so the exact gc fallback sees a
+    # finite upper sum; the policy must still hold there
+    engine = build_engine(split_rulebase(RB), token)
+    for bad in (math.nan, math.inf, -math.inf):
+        assert engine.infer((bad, 0.2)) == (0.0, True)
+        assert engine.infer((-0.4, bad)) == (0.0, True)

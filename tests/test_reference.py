@@ -26,9 +26,6 @@ from it2fuzz import (
     coa_decomposition_check,
     coa_defuzz,
     default_rulebase,
-    fire,
-    infer_gc,
-    infer_nt,
     nt_defuzz,
 )
 
@@ -87,7 +84,7 @@ def test_single_rule_fou_scales_with_firing():
     p = Partition((-1.2, 1.2),
                   (IT2Gaussian.uncertain_mean(-spread, spread, sigma),))
     rb = RuleBase((p,), (Rule((0,), 0.0),))
-    f = fire(rb, EngineConfig(bound_source=BoundSource.EXACT), (0.0,))[0]
+    f = ClosedFormEngine(rb, EngineConfig(bound_source=BoundSource.EXACT)).fire((0.0,))[0]
     assert f.upper == 1.0
     assert f.lower == pytest.approx(0.5, abs=1e-12)
     u, l = build_output_fou(rb, EXACT_REF, (0.0,))
@@ -219,6 +216,20 @@ def test_reference_engine_flags_degenerate_instead_of_raising():
     assert nt.infer((30.0, 30.0)) == (0.0, True)
 
 
+def test_reference_engine_flags_non_finite_input():
+    for ref in (REF, EXACT_REF):
+        for method in ("gc", "nt"):
+            engine = ReferenceEngine(RB, ref, method=method)
+            for bad in (math.nan, math.inf, -math.inf):
+                assert engine.infer((bad, 0.2)) == (0.0, True)
+                assert engine.infer((-0.4, bad)) == (0.0, True)
+
+
+def test_fitted_reference_requires_attached_bounds():
+    with pytest.raises(ValueError, match="fit"):
+        ReferenceEngine(collapsed_rulebase())
+
+
 def test_reference_engine_method_validation():
     with pytest.raises(ValueError):
         ReferenceEngine(RB, method="coa")
@@ -227,11 +238,11 @@ def test_reference_engine_method_validation():
 def test_reference_agrees_with_closed_forms_at_spots():
     gc_ref = ReferenceEngine(RB)
     nt_ref = ReferenceEngine(RB, method="nt")
-    gc_cfg = EngineConfig()
-    nt_cfg = EngineConfig(form=Form.NT_CLOSED)
+    gc = ClosedFormEngine(RB)
+    nt = ClosedFormEngine(RB, EngineConfig(form=Form.NT_CLOSED))
     for x in ((0.5, -0.5), (0.25, 0.75), (-1.0, -1.0)):
-        assert abs(gc_ref.infer(x).value - infer_gc(RB, gc_cfg, x).value) <= 1e-3
-        assert abs(nt_ref.infer(x).value - infer_nt(RB, nt_cfg, x).value) <= 1e-3
+        assert abs(gc_ref.infer(x).value - gc.infer(x).value) <= 1e-3
+        assert abs(nt_ref.infer(x).value - nt.infer(x).value) <= 1e-3
 
 
 def test_error_does_not_grow_as_width_halves():

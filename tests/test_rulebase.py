@@ -1,15 +1,18 @@
 """Rule table construction, validation codes, and JSON round-tripping."""
 
+import math
 from importlib.resources import as_file, files
 
 import pytest
 
 from it2fuzz import (
+    ClosedFormEngine,
     IT2Gaussian,
     Partition,
     Rule,
     RuleBase,
     RuleBaseInvalid,
+    ScaledGaussian,
     default_rulebase,
     dump_rulebase,
     load_rulebase,
@@ -102,6 +105,40 @@ def test_mixed_consequent_modes_reported():
     mixed = RuleBase(rb.partitions,
                      rb.rules[:-1] + (Rule((2, 2), -1.0, -0.9, -1.1),))
     assert "mixed_consequent_mode" in {v.code for v in mixed.validate()}
+
+
+def _with_first_set(rb: RuleBase, s: IT2Gaussian) -> RuleBase:
+    p = rb.partitions[0]
+    first = Partition(p.universe, (s,) + p.sets[1:], p.names)
+    return RuleBase((first,) + rb.partitions[1:], rb.rules)
+
+
+def test_non_finite_values_reported():
+    rb = default_rulebase()
+    srb = split_rulebase(rb)
+    s = rb.partitions[0].sets[0]
+    bad_bases = (
+        RuleBase(rb.partitions, rb.rules[:-1] + (Rule((2, 2), math.nan),)),
+        RuleBase(srb.partitions, srb.rules[:-1] + (Rule((2, 2), -1.0, math.inf, -1.1),)),
+        _with_first_set(rb, s.with_fitted(ScaledGaussian(math.nan, 0.5128),
+                                          s.fitted_lmf)),
+    )
+    for bad in bad_bases:
+        assert [v.code for v in bad.validate()] == ["non_finite"]
+        with pytest.raises(RuleBaseInvalid):
+            ClosedFormEngine(bad)
+
+
+def test_swapped_fitted_sigmas_reported():
+    rb = default_rulebase()
+    s = rb.partitions[0].sets[0]
+    u, l = s.fitted_umf, s.fitted_lmf
+    swapped = s.with_fitted(ScaledGaussian(u.mean, l.sigma, u.scale),
+                            ScaledGaussian(l.mean, u.sigma, l.scale))
+    bad = _with_first_set(rb, swapped)
+    assert [v.code for v in bad.validate()] == ["fitted_dominance"]
+    with pytest.raises(RuleBaseInvalid):
+        ClosedFormEngine(bad)
 
 
 def test_partition_rejects_disordered_centers():
