@@ -31,11 +31,9 @@ from .engine import (
 from .reference import (
     ConsequentSet,
     DomainTooNarrow,
-    Join,
     RefConfig,
     ReferenceEngine,
     SampledCurve,
-    TNorm,
     ZeroArea,
     ZeroMass,
     build_output_fou,
@@ -49,7 +47,6 @@ from .pendulum import (
     RK4_MAX_STEP,
     LoopConfig,
     NumericalBlowup,
-    PlantState,
     SimTrace,
     controller_step,
     plant_derivatives,
@@ -68,11 +65,11 @@ __all__ = [
     "rulebase_from_dict", "rulebase_to_dict",
     "BoundSource", "ClosedFormEngine", "EngineConfig", "FiringInterval",
     "Form", "InferenceResult",
-    "ConsequentSet", "DomainTooNarrow", "Join", "RefConfig", "ReferenceEngine",
-    "SampledCurve", "TNorm", "ZeroArea", "ZeroMass", "build_output_fou",
+    "ConsequentSet", "DomainTooNarrow", "RefConfig", "ReferenceEngine",
+    "SampledCurve", "ZeroArea", "ZeroMass", "build_output_fou",
     "coa_decomposition_check", "coa_defuzz", "nt_defuzz",
     "ACTUATOR_RATE", "GRAVITY", "RK4_MAX_STEP", "LoopConfig", "NumericalBlowup",
-    "PlantState", "SimTrace", "controller_step", "plant_derivatives",
+    "SimTrace", "controller_step", "plant_derivatives",
     "settle_time", "simulate", "write_trace_csv",
     "__version__",
 ]

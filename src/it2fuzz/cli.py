@@ -91,11 +91,7 @@ def _resolve_out(path: str) -> Path:
 
 def _load_rules(path: str | None) -> RuleBase:
     rb = load_rulebase(path) if path else default_rulebase()
-    violations = rb.validate()
-    if violations:
-        raise CliError(
-            "invalid rule base:\n" + "\n".join(f"  [{v.code}] {v.message}" for v in violations)
-        )
+    rb.require_valid()
     return rb
 
 
@@ -338,16 +334,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except RuleBaseInvalid as exc:
-        print(f"error: invalid rule base: {exc}", file=sys.stderr)
+        lines = "".join(f"\n  [{v.code}] {v.message}" for v in exc.violations)
+        print(f"error: invalid rule base:{lines}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (CliError, FileNotFoundError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -41,6 +41,10 @@ __all__ = [
     "ClosedFormEngine",
 ]
 
+# Denominators (closed forms) and masses (reference) not above this are
+# degenerate: the result is a flagged fallback.
+DEGENERATE_EPSILON = 1e-12
+
 
 class Form(str, enum.Enum):
     """Which closed-form output formula to apply."""
@@ -61,11 +65,6 @@ class BoundSource(str, enum.Enum):
 class EngineConfig:
     form: Form = Form.GC_CLOSED
     bound_source: BoundSource = BoundSource.FITTED
-    degenerate_epsilon: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.degenerate_epsilon < 1.0:
-            raise ValueError("degenerate_epsilon must lie in (0, 1)")
 
 
 class FiringInterval(NamedTuple):
@@ -165,7 +164,7 @@ class ClosedFormEngine:
     def infer(self, x: Sequence[float]) -> InferenceResult:
         """Crisp output of the configured closed form at input vector x."""
         ups, los = self._firing(x)
-        eps = self.cfg.degenerate_epsilon
+        eps = DEGENERATE_EPSILON
         form = self.cfg.form
         # A NaN input makes every sum below NaN, and NaN fails every
         # comparison: each test is written so that it lands in the
@@ -183,9 +182,7 @@ class ClosedFormEngine:
         if not den >= eps:
             cons = self._cons_u if form is Form.GC_CLOSED_SPLIT else self._cons
             uden = math.fsum(ups)
-            # Exact uncertain-mean bounds give umf(nan) == 1.0, so the
-            # upper sum alone can be finite for a NaN input.
-            if not uden > eps or math.isnan(den):
+            if not uden > eps:
                 return InferenceResult(0.0, True)
             return InferenceResult(
                 math.fsum(c * u for c, u in zip(cons, ups)) / uden, True

@@ -55,7 +55,7 @@ class ScaledGaussian:
     """Amplitude-scaled Gaussian ``scale * exp(-((x - mean) / sigma)^2 / 2)``.
 
     ``scale`` must lie in (0, 1] so the curve is a valid membership
-    function; ``sigma`` must be positive.
+    function; ``mean`` must be finite and ``sigma`` positive and finite.
     """
 
     mean: float
@@ -63,8 +63,10 @@ class ScaledGaussian:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean}")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not 0.0 < self.scale <= 1.0:
             raise ValueError(f"scale must lie in (0, 1], got {self.scale}")
 
@@ -132,12 +134,13 @@ class IT2Gaussian:
         if self.kind == UNCERTAIN_SIGMA:
             z = (x - self.mean_lo) / self.sigma_hi
             return math.exp(-0.5 * z * z)
+        # NaN fails both tests and falls through to exp, which keeps it NaN.
         if x < self.mean_lo:
             z = (x - self.mean_lo) / self.sigma_hi
-        elif x > self.mean_hi:
-            z = (x - self.mean_hi) / self.sigma_hi
-        else:
+        elif x <= self.mean_hi:
             return 1.0
+        else:
+            z = (x - self.mean_hi) / self.sigma_hi
         return math.exp(-0.5 * z * z)
 
     def lmf(self, x: float) -> float:
@@ -158,7 +161,7 @@ class IT2Gaussian:
         zh = (xs - self.mean_hi) / self.sigma_hi
         out = np.ones_like(xs)
         left = xs < self.mean_lo
-        right = xs > self.mean_hi
+        right = ~(xs <= self.mean_hi)  # NaN included
         out[left] = np.exp(-0.5 * zl[left] ** 2)
         out[right] = np.exp(-0.5 * zh[right] ** 2)
         return out

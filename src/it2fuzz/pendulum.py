@@ -26,7 +26,6 @@ __all__ = [
     "GRAVITY",
     "ACTUATOR_RATE",
     "RK4_MAX_STEP",
-    "PlantState",
     "LoopConfig",
     "SimTrace",
     "NumericalBlowup",
@@ -51,15 +50,6 @@ class NumericalBlowup(RuntimeError):
     def __init__(self, message: str, trace: "SimTrace"):
         super().__init__(message)
         self.trace = trace
-
-
-@dataclass(frozen=True)
-class PlantState:
-    """Pendulum angle (rad, 0 = upright), angular velocity, and lagged force."""
-
-    angle: float
-    angular_velocity: float
-    actuator_force: float
 
 
 @dataclass(frozen=True)
@@ -102,8 +92,14 @@ class SimTrace:
     failed: bool = False
 
 
-def _derivs(angle: float, velocity: float, lagged: float,
-            commanded: float) -> tuple[float, float, float]:
+def plant_derivatives(angle: float, velocity: float, lagged: float,
+                      commanded: float) -> tuple[float, float, float]:
+    """Time derivatives (d_angle, d_velocity, d_force) at a state.
+
+    ``angle`` is in rad (0 = upright) and ``lagged`` is the force actually
+    applied to the cart; ``commanded`` is the controller output it
+    follows.
+    """
     s = math.sin(angle)
     c = math.cos(angle)
     accel = (GRAVITY * s + c * ((-lagged - 0.25 * velocity * velocity * s) / 1.5)) \
@@ -111,38 +107,23 @@ def _derivs(angle: float, velocity: float, lagged: float,
     return velocity, accel, -ACTUATOR_RATE * lagged + ACTUATOR_RATE * commanded
 
 
-def plant_derivatives(state: PlantState, commanded_force: float) -> tuple[float, float, float]:
-    """Time derivatives (d_angle, d_velocity, d_force) at a state.
-
-    ``commanded_force`` is the controller output f; the state carries the
-    lagged force actually applied to the cart.
-    """
-    return _derivs(state.angle, state.angular_velocity,
-                   state.actuator_force, commanded_force)
-
-
 def _clamp(v: float) -> float:
     return min(1.0, max(-1.0, v))
 
 
-def _control(engine, cfg: LoopConfig, error: float,
-             error_rate: float) -> tuple[float, float, float, float, bool]:
+def controller_step(engine, cfg: LoopConfig, error: float,
+                    error_rate: float) -> tuple[float, float, float, float, bool]:
+    """One controller evaluation: scaled inputs -> inference -> commanded force.
+
+    Inputs are clamped to [-1, 1] after gain scaling.  Returns the scaled
+    inputs (x1, x2), the crisp output u, the commanded force and the
+    engine's degeneracy flag; engines never raise here, so the loop
+    always keeps running.
+    """
     x1 = _clamp(cfg.error_gain * error)
     x2 = _clamp(cfg.rate_gain * error_rate)
     result: InferenceResult = engine.infer((x1, x2))
     return x1, x2, result.value, cfg.force_gain * result.value, result.degenerate
-
-
-def controller_step(engine, cfg: LoopConfig, error: float,
-                    error_rate: float) -> tuple[float, bool]:
-    """One controller evaluation: scaled inputs -> inference -> commanded force.
-
-    Inputs are clamped to [-1, 1] after gain scaling.  Returns the
-    commanded force and the engine's degeneracy flag; engines never raise
-    here, so the loop always keeps running.
-    """
-    _, _, _, force, degenerate = _control(engine, cfg, error, error_rate)
-    return force, degenerate
 
 
 def simulate(engine, cfg: LoopConfig | None = None) -> SimTrace:
@@ -179,7 +160,7 @@ def simulate(engine, cfg: LoopConfig | None = None) -> SimTrace:
                 f"(angle {y:.6g}, velocity {w:.6g}, force {fa:.6g})",
                 trace,
             )
-        x1, x2, u, f, degenerate = _control(engine, cfg, cfg.setpoint - y, -w)
+        x1, x2, u, f, degenerate = controller_step(engine, cfg, cfg.setpoint - y, -w)
         times[i] = i * h
         angles[i] = y
         velocities[i] = w
@@ -191,10 +172,10 @@ def simulate(engine, cfg: LoopConfig | None = None) -> SimTrace:
         if i == n_steps:
             break
         # Classical RK4; the commanded force f is held for the whole step.
-        k1 = _derivs(y, w, fa, f)
-        k2 = _derivs(y + 0.5 * h * k1[0], w + 0.5 * h * k1[1], fa + 0.5 * h * k1[2], f)
-        k3 = _derivs(y + 0.5 * h * k2[0], w + 0.5 * h * k2[1], fa + 0.5 * h * k2[2], f)
-        k4 = _derivs(y + h * k3[0], w + h * k3[1], fa + h * k3[2], f)
+        k1 = plant_derivatives(y, w, fa, f)
+        k2 = plant_derivatives(y + 0.5 * h * k1[0], w + 0.5 * h * k1[1], fa + 0.5 * h * k1[2], f)
+        k3 = plant_derivatives(y + 0.5 * h * k2[0], w + 0.5 * h * k2[1], fa + 0.5 * h * k2[2], f)
+        k4 = plant_derivatives(y + h * k3[0], w + h * k3[1], fa + h * k3[2], f)
         y += h * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
         w += h * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
         fa += h * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]) / 6.0

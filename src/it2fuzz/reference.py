@@ -15,27 +15,23 @@ share one firing step and differ only in what follows it.
 
 Aggregation accumulates implied curves in a canonical rule order (sorted
 by consequent center, then firing), so permuting the rule list cannot
-change the output even at the bit level.  The plain ``sum`` join is the
-default because it is the one the closed forms are limits of; where
-several rules share a consequent center their mass stacks rather than
-saturating.  ``sum_clipped`` and ``max`` are available for conventional
-grade-bounded aggregation.
+change the output even at the bit level.  The join is a plain sum, the
+one the closed forms are limits of: where several rules share a
+consequent center their mass stacks rather than saturating.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .engine import BoundSource, ClosedFormEngine, EngineConfig, InferenceResult
+from .engine import (DEGENERATE_EPSILON, BoundSource, ClosedFormEngine, EngineConfig,
+                     InferenceResult)
 from .rulebase import RuleBase
 
 __all__ = [
-    "TNorm",
-    "Join",
     "RefConfig",
     "SampledCurve",
     "ConsequentSet",
@@ -62,17 +58,6 @@ class DomainTooNarrow(ValueError):
     """A consequent center sits too close to the output-domain edge."""
 
 
-class TNorm(str, enum.Enum):
-    PRODUCT = "product"
-    MIN = "min"
-
-
-class Join(str, enum.Enum):
-    SUM = "sum"
-    SUM_CLIPPED = "sum_clipped"
-    MAX = "max"
-
-
 @dataclass(frozen=True)
 class RefConfig:
     """Knobs for the discretized pipeline.
@@ -82,13 +67,10 @@ class RefConfig:
     sums used here.
     """
 
-    t_norm: TNorm = TNorm.PRODUCT
-    join: Join = Join.SUM
     grid_points: int = 10001
     domain: tuple[float, float] = (-1.5, 1.5)
     consequent_width: float = 0.01
     bound_source: BoundSource = BoundSource.FITTED
-    degenerate_epsilon: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.grid_points < 101:
@@ -148,29 +130,13 @@ def _check_domain(centers: Sequence[float], ref: RefConfig) -> None:
             )
 
 
-def _canonical_order(centers: Sequence[float], firing) -> list[int]:
-    # One fixed accumulation order for both curves: permuting the rule
-    # list must not change the result, and using the same order for the
-    # upper and the lower curve keeps lower <= upper exact.
-    return sorted(range(len(centers)),
-                  key=lambda k: (centers[k], firing[k].lower, firing[k].upper))
-
-
-def _aggregate(levels: Sequence[float], gmat: np.ndarray, order: Sequence[int],
-               t_norm: TNorm, join: Join) -> np.ndarray:
-    total = np.zeros(gmat.shape[1])
-    for k in order:
-        if t_norm is TNorm.PRODUCT:
-            row = levels[k] * gmat[k]
-        else:
-            row = np.minimum(levels[k], gmat[k])
-        if join is Join.MAX:
-            np.maximum(total, row, out=total)
-        else:
-            total += row
-    if join is Join.SUM_CLIPPED:
-        np.minimum(total, 1.0, out=total)
-    return total
+def _centroid(ys: np.ndarray, curve: np.ndarray) -> float | None:
+    """Rectangle-rule centroid sum(y c) / sum(c), or None when the mass
+    sum(c) is not above DEGENERATE_EPSILON (a NaN mass included)."""
+    total = float(curve.sum())
+    if not total > DEGENERATE_EPSILON:
+        return None
+    return float(np.dot(ys, curve) / total)
 
 
 def build_output_fou(rb: RuleBase, ref: RefConfig,
@@ -181,16 +147,7 @@ def build_output_fou(rb: RuleBase, ref: RefConfig,
     DomainTooNarrow if any consequent center sits within five widths of a
     domain edge (its Gaussian would be visibly truncated).
     """
-    closed = ClosedFormEngine(rb, EngineConfig(bound_source=ref.bound_source))
-    centers = [r.consequent for r in rb.rules]
-    _check_domain(centers, ref)
-    firing = closed.fire(x)
-    cs = ConsequentSet(tuple(centers), ref.consequent_width)
-    ys = np.linspace(ref.domain[0], ref.domain[1], ref.grid_points)
-    gmat = cs.matrix(ys)
-    order = _canonical_order(centers, firing)
-    upper = _aggregate([f.upper for f in firing], gmat, order, ref.t_norm, ref.join)
-    lower = _aggregate([f.lower for f in firing], gmat, order, ref.t_norm, ref.join)
+    upper, lower = ReferenceEngine(rb, ref)._curves(x)
     return SampledCurve(ref.domain, upper), SampledCurve(ref.domain, lower)
 
 
@@ -199,24 +156,22 @@ def _require_same_grid(umf: SampledCurve, lmf: SampledCurve) -> None:
         raise ValueError("curves must share one grid")
 
 
-def coa_defuzz(umf: SampledCurve, lmf: SampledCurve, epsilon: float = 1e-12) -> float:
+def coa_defuzz(umf: SampledCurve, lmf: SampledCurve) -> float:
     """Centroid of the FOU band by rectangle rule: sum y (u - l) / sum (u - l)."""
     _require_same_grid(umf, lmf)
-    band = umf.values - lmf.values
-    total = float(band.sum())
-    if total <= epsilon:
-        raise ZeroArea(f"band area {total:.3e} is at or below epsilon {epsilon:.3e}")
-    return float(np.dot(umf.ys, band) / total)
+    value = _centroid(umf.ys, umf.values - lmf.values)
+    if value is None:
+        raise ZeroArea(f"band area is at or below {DEGENERATE_EPSILON:.3e}")
+    return value
 
 
-def nt_defuzz(umf: SampledCurve, lmf: SampledCurve, epsilon: float = 1e-12) -> float:
+def nt_defuzz(umf: SampledCurve, lmf: SampledCurve) -> float:
     """Centroid of the band midline (u + l) / 2 by rectangle rule."""
     _require_same_grid(umf, lmf)
-    mid = 0.5 * (umf.values + lmf.values)
-    total = float(mid.sum())
-    if total <= epsilon:
-        raise ZeroMass(f"midline mass {total:.3e} is at or below epsilon {epsilon:.3e}")
-    return float(np.dot(umf.ys, mid) / total)
+    value = _centroid(umf.ys, 0.5 * (umf.values + lmf.values))
+    if value is None:
+        raise ZeroMass(f"midline mass is at or below {DEGENERATE_EPSILON:.3e}")
+    return value
 
 
 def coa_decomposition_check(umf: SampledCurve, lmf: SampledCurve) -> tuple[float, float]:
@@ -264,22 +219,27 @@ class ReferenceEngine:
         self._ys = np.linspace(ref.domain[0], ref.domain[1], ref.grid_points)
         self._gmat = ConsequentSet(tuple(centers), ref.consequent_width).matrix(self._ys)
 
-    def infer(self, x: Sequence[float]) -> InferenceResult:
-        ref = self.ref
+    def _curves(self, x: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """Upper and lower output curves at x: firing times consequent rows, summed."""
         firing = self._closed.fire(x)
-        order = _canonical_order(self._centers, firing)
-        upper = _aggregate([f.upper for f in firing], self._gmat, order,
-                           ref.t_norm, ref.join)
-        lower = _aggregate([f.lower for f in firing], self._gmat, order,
-                           ref.t_norm, ref.join)
-        if self.method == "gc":
-            band = upper - lower
-            total = float(band.sum())
-            if not total > ref.degenerate_epsilon:  # NaN too
-                return InferenceResult(0.0, True)
-            return InferenceResult(float(np.dot(self._ys, band) / total), False)
-        mid = 0.5 * (upper + lower)
-        total = float(mid.sum())
-        if not total > ref.degenerate_epsilon:  # NaN too
+        centers = self._centers
+        # One fixed accumulation order for both curves: permuting the rule
+        # list must not change the result, and using the same order for the
+        # upper and the lower curve keeps lower <= upper exact.
+        order = sorted(range(len(centers)),
+                       key=lambda k: (centers[k], firing[k].lower, firing[k].upper))
+        gmat = self._gmat
+        upper = np.zeros(gmat.shape[1])
+        lower = np.zeros(gmat.shape[1])
+        for k in order:
+            upper += firing[k].upper * gmat[k]
+            lower += firing[k].lower * gmat[k]
+        return upper, lower
+
+    def infer(self, x: Sequence[float]) -> InferenceResult:
+        upper, lower = self._curves(x)
+        curve = upper - lower if self.method == "gc" else 0.5 * (upper + lower)
+        value = _centroid(self._ys, curve)
+        if value is None:
             return InferenceResult(0.0, True)
-        return InferenceResult(float(np.dot(self._ys, mid) / total), False)
+        return InferenceResult(value, False)

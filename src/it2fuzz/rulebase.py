@@ -190,10 +190,8 @@ class RuleBase:
                 umf, lmf = s.fitted_umf, s.fitted_lmf
                 if umf is None or lmf is None:
                     continue
-                where = f"set {p.label(j)} of input {k}"
-                if not (math.isfinite(umf.mean) and math.isfinite(lmf.mean)):
-                    out.append(Violation("non_finite", f"{where} has a non-finite fitted mean"))
-                elif lower_exceeds_upper(umf, lmf, xs):
+                if lower_exceeds_upper(umf, lmf, xs):
+                    where = f"set {p.label(j)} of input {k}"
                     out.append(Violation("fitted_dominance",
                                          f"{where} has its fitted lower bound above the upper"))
         return out

@@ -1,10 +1,11 @@
 """End-to-end checks of the command-line workbench."""
 
 import json
+import math
 
 import pytest
 
-from it2fuzz import (BoundSource, ClosedFormEngine, default_rulebase,
+from it2fuzz import (BoundSource, ClosedFormEngine, RuleBase, default_rulebase,
                      dump_rulebase, rulebase_to_dict)
 from it2fuzz.cli import (CliError, SurfaceSpec, generate_surface, lcg_probes,
                          main, parse_engine_mode, run_bench)
@@ -115,11 +116,17 @@ def test_surface_rejects_invalid_rules(tmp_path, capsys):
     assert "[missing_antecedent]" in capsys.readouterr().err
 
 
+def _nan_fitted_mean(d):
+    d["inputs"][0]["sets"][0]["fitted_umf"]["mean"] = math.nan
+    return d
+
+
 @pytest.mark.parametrize("mangle", [
     lambda d: [d],
     lambda d: {**d, "rules": [{**d["rules"][0], "if": 5}] + d["rules"][1:]},
     lambda d: {**d, "inputs": 3},
-], ids=["top_level_list", "scalar_antecedent", "scalar_inputs"])
+    _nan_fitted_mean,
+], ids=["top_level_list", "scalar_antecedent", "scalar_inputs", "nan_fitted_mean"])
 def test_surface_rejects_malformed_rule_file(mangle, tmp_path, capsys):
     d = rulebase_to_dict(default_rulebase())
     rules = tmp_path / "malformed.json"
@@ -128,6 +135,20 @@ def test_surface_rejects_malformed_rule_file(mangle, tmp_path, capsys):
                str(tmp_path / "x.csv")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_surface_validates_rule_base_once(monkeypatch, capsys):
+    calls = []
+    validate = RuleBase.validate
+
+    def counting(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(RuleBase, "validate", counting)
+    assert main(["surface", "--grid", "2", "--engine", "gc-closed,nt-closed"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_out_dir_env(tmp_path, monkeypatch):

@@ -197,8 +197,6 @@ def test_neighboring_grid_outputs_stay_close():
                                    "gc-closed-exact", "gc-closed-split-exact",
                                    "nt-closed-exact"])
 def test_non_finite_input_gives_flagged_zero(token):
-    # exact bounds give umf(nan) == 1.0, so the exact gc fallback sees a
-    # finite upper sum; the policy must still hold there
     engine = build_engine(split_rulebase(RB), token)
     for bad in (math.nan, math.inf, -math.inf):
         assert engine.infer((bad, 0.2)) == (0.0, True)

@@ -46,6 +46,13 @@ def test_scaled_gaussian_rejects_bad_params(sigma, scale):
         ScaledGaussian(0.0, sigma, scale)
 
 
+@pytest.mark.parametrize("mean,sigma", [(math.nan, 0.5), (math.inf, 0.5),
+                                        (-math.inf, 0.5), (0.0, math.inf)])
+def test_scaled_gaussian_rejects_non_finite_params(mean, sigma):
+    with pytest.raises(ValueError, match="finite"):
+        ScaledGaussian(mean, sigma)
+
+
 def test_scaled_gaussian_sample_matches_scalar():
     g = ScaledGaussian(0.2, 0.5, 0.9)
     xs = np.linspace(-2.0, 2.0, 101)
@@ -70,6 +77,16 @@ def test_umf_plateau_and_shoulders():
     # one sigma past the plateau edge
     assert m.umf(0.518) == pytest.approx(math.exp(-0.5), abs=1e-12)
     assert m.umf(-0.518) == m.umf(0.518)
+
+
+@pytest.mark.parametrize("m", [fou(0.1), fou(0.0),
+                               IT2Gaussian.uncertain_sigma(0.2, 0.3, 0.5)])
+def test_exact_bounds_of_nan_are_nan(m):
+    assert math.isnan(m.umf(math.nan))
+    assert math.isnan(m.lmf(math.nan))
+    got = m.umf_samples(np.array([-0.5, math.nan, 0.0, 0.5]))
+    assert np.isnan(got[1]) and not np.isnan(got[[0, 2, 3]]).any()
+    assert np.isnan(m.lmf_samples(np.array([math.nan]))[0])
 
 
 def test_lmf_is_min_of_edge_gaussians():

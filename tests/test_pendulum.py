@@ -12,7 +12,6 @@ from it2fuzz import (
     ClosedFormEngine,
     LoopConfig,
     NumericalBlowup,
-    PlantState,
     SimTrace,
     controller_step,
     default_rulebase,
@@ -45,26 +44,25 @@ def expected_angular_accel(angle, velocity, force):
 
 
 def test_upright_rest_is_a_fixed_point():
-    assert plant_derivatives(PlantState(0.0, 0.0, 0.0), 0.0) == (0.0, 0.0, 0.0)
+    assert plant_derivatives(0.0, 0.0, 0.0, 0.0) == (0.0, 0.0, 0.0)
 
 
 def test_actuator_lag_pulls_toward_command():
-    d = plant_derivatives(PlantState(0.0, 0.0, 0.0), 1.0)
+    d = plant_derivatives(0.0, 0.0, 0.0, 1.0)
     assert d == (0.0, 0.0, ACTUATOR_RATE)
-    d = plant_derivatives(PlantState(0.0, 0.0, 2.0), 0.0)
+    d = plant_derivatives(0.0, 0.0, 2.0, 0.0)
     assert d[2] == -ACTUATOR_RATE * 2.0
 
 
 def test_gravity_torque_at_small_angle():
-    d = plant_derivatives(PlantState(0.1, 0.0, 0.0), 0.0)
+    d = plant_derivatives(0.1, 0.0, 0.0, 0.0)
     assert d[0] == 0.0
     assert d[1] == expected_angular_accel(0.1, 0.0, 0.0)
     assert d[1] == pytest.approx(D_VELOCITY_AT_TENTH, abs=1e-15)
 
 
 def test_plant_derivatives_match_formula_with_force():
-    state = PlantState(0.3, -1.2, 4.0)
-    d = plant_derivatives(state, 9.0)
+    d = plant_derivatives(0.3, -1.2, 4.0, 9.0)
     assert d[0] == -1.2
     # the plant sees the lagged force, not the commanded one
     assert d[1] == expected_angular_accel(0.3, -1.2, 4.0)
@@ -72,14 +70,15 @@ def test_plant_derivatives_match_formula_with_force():
 
 
 def test_controller_zero_error_gives_zero_force():
-    assert controller_step(ENGINE, LoopConfig(), 0.0, 0.0) == (0.0, False)
+    assert controller_step(ENGINE, LoopConfig(), 0.0, 0.0) == (0.0, 0.0, 0.0, 0.0, False)
 
 
 def test_controller_input_clamp_saturates():
     cfg = LoopConfig()
     # pi/4 already scales to 1.0, so any larger error gives the same force
-    f_quarter, _ = controller_step(ENGINE, cfg, math.pi / 4.0, 0.0)
-    f_full, _ = controller_step(ENGINE, cfg, math.pi, 0.0)
+    x1_quarter, _, _, f_quarter, _ = controller_step(ENGINE, cfg, math.pi / 4.0, 0.0)
+    x1_full, _, _, f_full, _ = controller_step(ENGINE, cfg, math.pi, 0.0)
+    assert x1_quarter == x1_full == 1.0
     assert f_quarter == f_full
     assert f_full == cfg.force_gain * ENGINE.infer((1.0, 0.0)).value
 

@@ -13,7 +13,6 @@ from it2fuzz import (
     EngineConfig,
     Form,
     IT2Gaussian,
-    Join,
     Partition,
     RefConfig,
     ReferenceEngine,
@@ -107,25 +106,12 @@ def test_three_bumps_from_demo_at_origin():
     assert at(0.5) == 0.0 and at(-0.5) == 0.0
 
 
-def test_join_variants_at_saturated_corner():
-    for join, cap in ((Join.SUM, None), (Join.SUM_CLIPPED, 1.0), (Join.MAX, 1.0)):
-        ref = RefConfig(join=join)
-        u, l = build_output_fou(RB, ref, (1.0, 1.0))
-        assert bool(np.all(l.values <= u.values))
-        if cap is None:
-            assert float(u.values.max()) > 1.2
-        else:
-            assert float(u.values.max()) <= cap
-
-
-@pytest.mark.parametrize("join", [Join.SUM, Join.SUM_CLIPPED, Join.MAX])
-def test_rule_order_does_not_change_curves(join):
-    ref = RefConfig(join=join)
+def test_rule_order_does_not_change_curves():
     shuffled = RuleBase(RB.partitions, tuple(RB.rules[k] for k in
                                              (5, 2, 8, 0, 7, 4, 1, 6, 3)))
     for x in ((1.0, 1.0), (0.25, -0.7)):
-        a_u, a_l = build_output_fou(RB, ref, x)
-        b_u, b_l = build_output_fou(shuffled, ref, x)
+        a_u, a_l = build_output_fou(RB, REF, x)
+        b_u, b_l = build_output_fou(shuffled, REF, x)
         assert np.array_equal(a_u.values, b_u.values)
         assert np.array_equal(a_l.values, b_l.values)
 

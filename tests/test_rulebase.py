@@ -116,12 +116,9 @@ def _with_first_set(rb: RuleBase, s: IT2Gaussian) -> RuleBase:
 def test_non_finite_values_reported():
     rb = default_rulebase()
     srb = split_rulebase(rb)
-    s = rb.partitions[0].sets[0]
     bad_bases = (
         RuleBase(rb.partitions, rb.rules[:-1] + (Rule((2, 2), math.nan),)),
         RuleBase(srb.partitions, srb.rules[:-1] + (Rule((2, 2), -1.0, math.inf, -1.1),)),
-        _with_first_set(rb, s.with_fitted(ScaledGaussian(math.nan, 0.5128),
-                                          s.fitted_lmf)),
     )
     for bad in bad_bases:
         assert [v.code for v in bad.validate()] == ["non_finite"]
