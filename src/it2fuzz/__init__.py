@@ -29,7 +29,6 @@ from .engine import (
     InferenceResult,
 )
 from .reference import (
-    ConsequentSet,
     DomainTooNarrow,
     RefConfig,
     ReferenceEngine,
@@ -65,7 +64,7 @@ __all__ = [
     "rulebase_from_dict", "rulebase_to_dict",
     "BoundSource", "ClosedFormEngine", "EngineConfig", "FiringInterval",
     "Form", "InferenceResult",
-    "ConsequentSet", "DomainTooNarrow", "RefConfig", "ReferenceEngine",
+    "DomainTooNarrow", "RefConfig", "ReferenceEngine",
     "SampledCurve", "ZeroArea", "ZeroMass", "build_output_fou",
     "coa_decomposition_check", "coa_defuzz", "nt_defuzz",
     "ACTUATOR_RATE", "GRAVITY", "RK4_MAX_STEP", "LoopConfig", "NumericalBlowup",

@@ -41,12 +41,9 @@ __all__ = ["SurfaceSpec", "parse_engine_mode", "build_engine", "generate_surface
 
 OUT_DIR_ENV = "IT2FUZZ_OUT_DIR"
 
-_CLOSED_FORMS = {
-    "gc-closed": Form.GC_CLOSED,
-    "gc-closed-split": Form.GC_CLOSED_SPLIT,
-    "nt-closed": Form.NT_CLOSED,
-}
 _REF_METHODS = {"gc-ref": "gc", "nt-ref": "nt"}
+# Inferences run before the timed ones in run_bench.
+BENCH_WARMUP = 100
 
 LCG_SEED = 123456789
 LCG_MULT = 1664525
@@ -66,7 +63,9 @@ def parse_engine_mode(token: str) -> tuple[str, BoundSource]:
         base, source = base[: -len("-exact")], BoundSource.EXACT
     elif base.endswith("-fitted"):
         base = base[: -len("-fitted")]
-    if base not in _CLOSED_FORMS and base not in _REF_METHODS:
+    # The closed-form families are Form's values (``str in Form`` raises
+    # TypeError before Python 3.12).
+    if base not in _REF_METHODS and base not in [f.value for f in Form]:
         raise CliError(f"unknown engine mode {token!r}")
     return base, source
 
@@ -74,11 +73,10 @@ def parse_engine_mode(token: str) -> tuple[str, BoundSource]:
 def build_engine(rb: RuleBase, token: str, ref: RefConfig | None = None):
     """Construct the engine object an engine token names."""
     base, source = parse_engine_mode(token)
-    if base in _CLOSED_FORMS:
-        return ClosedFormEngine(rb, EngineConfig(form=_CLOSED_FORMS[base],
-                                                 bound_source=source))
-    ref = replace(ref if ref is not None else RefConfig(), bound_source=source)
-    return ReferenceEngine(rb, ref, method=_REF_METHODS[base])
+    if base in _REF_METHODS:
+        ref = replace(ref if ref is not None else RefConfig(), bound_source=source)
+        return ReferenceEngine(rb, ref, method=_REF_METHODS[base])
+    return ClosedFormEngine(rb, EngineConfig(form=Form(base), bound_source=source))
 
 
 def _resolve_out(path: str) -> Path:
@@ -87,6 +85,14 @@ def _resolve_out(path: str) -> Path:
     if base and not p.is_absolute():
         return Path(base) / p
     return p
+
+
+def _write_out(text: str, out: str | None) -> None:
+    """Write text to the --out path, or to stdout when none is given."""
+    if out:
+        _resolve_out(out).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _load_rules(path: str | None) -> RuleBase:
@@ -138,12 +144,7 @@ def generate_surface(rb: RuleBase, spec: SurfaceSpec) -> list[str]:
 def cmd_surface(args: argparse.Namespace) -> int:
     rb = _load_rules(args.rules)
     spec = SurfaceSpec(grid=args.grid, engines=tuple(args.engine.split(",")))
-    lines = generate_surface(rb, spec)
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _resolve_out(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_out("\n".join(generate_surface(rb, spec)) + "\n", args.out)
     return 0
 
 
@@ -198,11 +199,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "lmf": {"mean": lmf.mean, "sigma": lmf.sigma, "scale": lmf.scale},
         "sse": sse,
     }
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        _resolve_out(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(json.dumps(report, indent=2) + "\n", args.out)
     return 0
 
 
@@ -222,18 +219,18 @@ def lcg_probes(count: int, seed: int = LCG_SEED) -> list[tuple[float, float]]:
 
 
 def run_bench(rb: RuleBase, engine_tokens: tuple[str, ...], probes: int,
-              seed: int = LCG_SEED, warmup: int = 100) -> dict:
+              seed: int = LCG_SEED) -> dict:
     """Per-inference timing stats for each engine over one shared probe stream.
 
-    The first ``warmup`` inferences are run but not measured.  A method
-    family gets a speedup when exactly one of its reference engines is
-    present, over a closed engine of the family: preferably one with the
-    same bound source, and the plain form before ``-split``.
+    ``BENCH_WARMUP`` inferences per engine run first and are not measured.
+    A method family gets a speedup when exactly one of its reference
+    engines is present, over a closed engine of the family: preferably one
+    with the same bound source, and the plain form before ``-split``.
     """
     if probes < 1:
         raise CliError("no probes")
     points = lcg_probes(probes, seed)
-    warm = lcg_probes(min(warmup, probes), seed + 1)
+    warm = lcg_probes(min(BENCH_WARMUP, probes), seed + 1)
     report: dict = {"probes": probes, "seed": seed, "engines": {}}
     means: dict[str, float] = {}
     for token in engine_tokens:
@@ -256,7 +253,7 @@ def run_bench(rb: RuleBase, engine_tokens: tuple[str, ...], probes: int,
     modes = {t: parse_engine_mode(t) for t in engine_tokens}
     for family in ("gc", "nt"):
         closed = [t for t, (base, _) in modes.items()
-                  if base in _CLOSED_FORMS and base.startswith(family)]
+                  if base not in _REF_METHODS and base.startswith(family)]
         ref = [t for t, (base, _) in modes.items() if base == f"{family}-ref"]
         if closed and len(ref) == 1:
             source = modes[ref[0]][1]
@@ -274,11 +271,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for tok in tokens:
         parse_engine_mode(tok)
     report = run_bench(rb, tokens, args.probes, seed=args.seed)
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        _resolve_out(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(json.dumps(report, indent=2) + "\n", args.out)
     return 0
 
 

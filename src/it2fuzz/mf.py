@@ -40,6 +40,8 @@ UNCERTAIN_SIGMA = "uncertain_sigma"
 
 # 1/phi, the golden-section step ratio.
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# fit_bounds stops once sigma and scale each move by no more than this.
+_PARAM_TOL = 1e-10
 
 
 class FitDominanceViolated(ValueError):
@@ -181,9 +183,9 @@ class IT2Gaussian:
         """Return a copy with the given fitted bounds attached."""
         return replace(self, fitted_umf=umf, fitted_lmf=lmf)
 
-    def fit(self, window: tuple[float, float] | None = None, samples: int = 1001) -> "IT2Gaussian":
-        """Return a copy with freshly fitted bounds attached."""
-        umf, lmf = fit_bounds(self, window=window, samples=samples)
+    def fit(self) -> "IT2Gaussian":
+        """Return a copy with bounds from a default ``fit_bounds`` attached."""
+        umf, lmf = fit_bounds(self)
         return self.with_fitted(umf, lmf)
 
 
@@ -232,7 +234,6 @@ def fit_bounds(
     m: IT2Gaussian,
     window: tuple[float, float] | None = None,
     samples: int = 1001,
-    tol: float = 1e-10,
     max_iter: int = 200,
 ) -> tuple[ScaledGaussian, ScaledGaussian]:
     """Least-squares scaled-Gaussian stand-ins for the exact FOU bounds.
@@ -245,7 +246,7 @@ def fit_bounds(
     Returns (fitted_umf, fitted_lmf).  Raises FitDominanceViolated if the
     fitted lower bound pokes above the fitted upper bound anywhere on the
     sample grid, and NonConvergence if the parameter change fails to drop
-    below ``tol`` within ``max_iter`` iterations.
+    below ``_PARAM_TOL`` within ``max_iter`` iterations.
     """
     if window is None:
         window = default_fit_window(m)
@@ -266,7 +267,7 @@ def fit_bounds(
     half = 0.5 * (hi - lo)
     sig_lo = 0.01 * min(m.sigma_lo, half)
     sig_hi = max(2.0 * half, 4.0 * m.sigma_hi)
-    gs_tol = 1e-3 * tol
+    gs_tol = 1e-3 * _PARAM_TOL
 
     def curve(sigma: float) -> np.ndarray:
         return np.exp(dx2 * (-0.5 / (sigma * sigma)))
@@ -301,7 +302,7 @@ def fit_bounds(
     for _ in range(max_iter):
         new_sigma = best_sigma(scale, sigma, l_target)
         new_scale = opt_scale(new_sigma, l_target)
-        done = abs(new_scale - scale) <= tol and abs(new_sigma - sigma) <= tol
+        done = abs(new_scale - scale) <= _PARAM_TOL and abs(new_sigma - sigma) <= _PARAM_TOL
         sigma, scale = new_sigma, new_scale
         if done:
             break

@@ -43,6 +43,15 @@ ACTUATOR_RATE = 100.0
 RK4_MAX_STEP = 0.0278
 BLOWUP_LIMIT = 1e6
 
+# Controller scaling: angle error (rad) and error rate (rad/s) map onto the
+# engine's [-1, 1] inputs, the crisp output onto a commanded force (N).
+ERROR_GAIN = 4.0 / math.pi
+RATE_GAIN = 0.4 / math.pi
+FORCE_GAIN = 100.0
+SETPOINT = 0.0
+# |angle| below this counts as settled (rad).
+SETTLE_THRESHOLD = 0.01
+
 
 class NumericalBlowup(RuntimeError):
     """State left the sane range; carries the partial trace as .trace."""
@@ -54,18 +63,13 @@ class NumericalBlowup(RuntimeError):
 
 @dataclass(frozen=True)
 class LoopConfig:
-    error_gain: float = 4.0 / math.pi
-    rate_gain: float = 0.4 / math.pi
-    force_gain: float = 100.0
     step: float = 1e-3
     duration: float = 5.0
     initial_angle: float = 0.1
     initial_velocity: float = 0.0
-    setpoint: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("error_gain", "rate_gain", "force_gain", "step", "duration",
-                     "initial_angle", "initial_velocity", "setpoint"):
+        for name in ("step", "duration", "initial_angle", "initial_velocity"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if not self.step > 0.0:
@@ -111,7 +115,7 @@ def _clamp(v: float) -> float:
     return min(1.0, max(-1.0, v))
 
 
-def controller_step(engine, cfg: LoopConfig, error: float,
+def controller_step(engine, error: float,
                     error_rate: float) -> tuple[float, float, float, float, bool]:
     """One controller evaluation: scaled inputs -> inference -> commanded force.
 
@@ -120,10 +124,10 @@ def controller_step(engine, cfg: LoopConfig, error: float,
     engine's degeneracy flag; engines never raise here, so the loop
     always keeps running.
     """
-    x1 = _clamp(cfg.error_gain * error)
-    x2 = _clamp(cfg.rate_gain * error_rate)
+    x1 = _clamp(ERROR_GAIN * error)
+    x2 = _clamp(RATE_GAIN * error_rate)
     result: InferenceResult = engine.infer((x1, x2))
-    return x1, x2, result.value, cfg.force_gain * result.value, result.degenerate
+    return x1, x2, result.value, FORCE_GAIN * result.value, result.degenerate
 
 
 def simulate(engine, cfg: LoopConfig | None = None) -> SimTrace:
@@ -150,8 +154,8 @@ def simulate(engine, cfg: LoopConfig | None = None) -> SimTrace:
     w = float(cfg.initial_velocity)
     fa = 0.0
     for i in range(n_rows):
-        ok = all(math.isfinite(v) and abs(v) <= BLOWUP_LIMIT for v in (y, w, fa))
-        if not ok:
+        # NaN and +-inf fail <= as well.
+        if not (abs(y) <= BLOWUP_LIMIT and abs(w) <= BLOWUP_LIMIT and abs(fa) <= BLOWUP_LIMIT):
             trace = SimTrace(times[:i].copy(), angles[:i].copy(), velocities[:i].copy(),
                              forces[:i].copy(), inputs[:i].copy(), outputs[:i].copy(),
                              flags[:i].copy(), failed=True)
@@ -160,7 +164,7 @@ def simulate(engine, cfg: LoopConfig | None = None) -> SimTrace:
                 f"(angle {y:.6g}, velocity {w:.6g}, force {fa:.6g})",
                 trace,
             )
-        x1, x2, u, f, degenerate = controller_step(engine, cfg, cfg.setpoint - y, -w)
+        x1, x2, u, f, degenerate = controller_step(engine, SETPOINT - y, -w)
         times[i] = i * h
         angles[i] = y
         velocities[i] = w
@@ -183,13 +187,13 @@ def simulate(engine, cfg: LoopConfig | None = None) -> SimTrace:
     return SimTrace(times, angles, velocities, forces, inputs, outputs, flags)
 
 
-def settle_time(trace: SimTrace, threshold: float = 0.01) -> float | None:
-    """First trace time after which |angle| stays below threshold.
+def settle_time(trace: SimTrace) -> float | None:
+    """First trace time after which |angle| stays below SETTLE_THRESHOLD.
 
-    Returns 0.0 if the whole trace is below threshold and None if the
-    final sample is not.
+    Returns 0.0 if the whole trace is below the threshold and None if
+    the final sample is not.
     """
-    above = np.abs(trace.angles) >= threshold
+    above = np.abs(trace.angles) >= SETTLE_THRESHOLD
     if above[-1]:
         return None
     idx = np.nonzero(above)[0]

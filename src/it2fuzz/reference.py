@@ -34,7 +34,6 @@ from .rulebase import RuleBase
 __all__ = [
     "RefConfig",
     "SampledCurve",
-    "ConsequentSet",
     "build_output_fou",
     "coa_defuzz",
     "nt_defuzz",
@@ -100,24 +99,6 @@ class SampledCurve:
     @property
     def ys(self) -> np.ndarray:
         return np.linspace(self.domain[0], self.domain[1], self.values.size)
-
-
-@dataclass(frozen=True)
-class ConsequentSet:
-    """Narrow Gaussian output sets, one per rule, sharing a single width."""
-
-    centers: tuple[float, ...]
-    width: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "centers", tuple(float(c) for c in self.centers))
-        if not self.width > 0.0:
-            raise ValueError("width must be positive")
-
-    def matrix(self, ys: np.ndarray) -> np.ndarray:
-        """One unit-height Gaussian row per center, evaluated on ys."""
-        z = (ys[None, :] - np.asarray(self.centers)[:, None]) / self.width
-        return np.exp(-0.5 * z * z)
 
 
 def _check_domain(centers: Sequence[float], ref: RefConfig) -> None:
@@ -217,7 +198,9 @@ class ReferenceEngine:
         self.method = method
         self._centers = centers
         self._ys = np.linspace(ref.domain[0], ref.domain[1], ref.grid_points)
-        self._gmat = ConsequentSet(tuple(centers), ref.consequent_width).matrix(self._ys)
+        # One unit-height Gaussian consequent row per rule, on the output grid.
+        z = (self._ys[None, :] - np.asarray(centers)[:, None]) / ref.consequent_width
+        self._gmat = np.exp(-0.5 * z * z)
 
     def _curves(self, x: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """Upper and lower output curves at x: firing times consequent rows, summed."""

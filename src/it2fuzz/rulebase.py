@@ -208,49 +208,18 @@ class RuleBase:
 
 # -- bundled demo system -------------------------------------------------
 
-# Three-set balance controller used throughout the docs and the pendulum
-# testbed: N/Z/P uncertain-mean sets on [-1, 1] for both inputs, and the
-# sign-opposing consequent table below.  The attached fitted bounds are
-# frozen constants; pass refit=True to recompute them instead.
-_DEMO_SIGMA = 0.418
-_DEMO_SPREAD = 0.125
-_DEMO_UMF_SIGMA = 0.5128
-_DEMO_LMF_SIGMA = 0.3532
-_DEMO_LMF_SCALE = 0.895
-_DEMO_CONSEQUENTS = (1.0, 1.0, 0.0, 1.0, 0.0, -1.0, 0.0, -1.0, -1.0)
+_DEFAULT_RULES = Path(__file__).parent / "data" / "default_rules.json"
 
 
-def default_rulebase(refit: bool = False) -> RuleBase:
+def default_rulebase() -> RuleBase:
     """The bundled two-input, three-sets-per-input demo rule base.
 
-    Rules are laid out row-major over (first input, second input).  With
-    ``refit`` the scaled-Gaussian bounds are recomputed from the exact
-    FOU instead of using the frozen constants.
+    N/Z/P uncertain-mean sets on [-1, 1] for both inputs with frozen
+    fitted bounds, and a sign-opposing consequent table laid out
+    row-major over (first input, second input); read from the package's
+    ``data/default_rules.json``.
     """
-    def make_set(center: float) -> IT2Gaussian:
-        s = IT2Gaussian.uncertain_mean(
-            center - _DEMO_SPREAD, center + _DEMO_SPREAD, _DEMO_SIGMA
-        )
-        if refit:
-            return s.fit()
-        return s.with_fitted(
-            ScaledGaussian(center, _DEMO_UMF_SIGMA, 1.0),
-            ScaledGaussian(center, _DEMO_LMF_SIGMA, _DEMO_LMF_SCALE),
-        )
-
-    def make_partition() -> Partition:
-        return Partition(
-            universe=(-1.0, 1.0),
-            sets=tuple(make_set(c) for c in (-1.0, 0.0, 1.0)),
-            names=("N", "Z", "P"),
-        )
-
-    rules = tuple(
-        Rule(antecedent=(i, j), consequent=_DEMO_CONSEQUENTS[i * 3 + j])
-        for i in range(3)
-        for j in range(3)
-    )
-    return RuleBase(partitions=(make_partition(), make_partition()), rules=rules)
+    return load_rulebase(_DEFAULT_RULES)
 
 
 # -- JSON round-tripping -------------------------------------------------
@@ -309,7 +278,9 @@ def rulebase_from_dict(d: dict) -> RuleBase:
     """Build a rule base from its JSON form.
 
     Data of the wrong shape (a missing key, a list or a number where an
-    object belongs) raises RuleBaseInvalid with one ``schema`` violation.
+    object belongs) or a value a constructor rejects (a NaN mean, a
+    reversed universe, an unknown set kind) raises RuleBaseInvalid with
+    one ``schema`` violation.
     """
     try:
         partitions = tuple(
@@ -329,10 +300,10 @@ def rulebase_from_dict(d: dict) -> RuleBase:
             )
             for rd in d["rules"]
         )
-    except (TypeError, KeyError, AttributeError) as exc:
+        return RuleBase(partitions=partitions, rules=rules)
+    except (TypeError, KeyError, AttributeError, ValueError) as exc:
         msg = f"rule data does not fit the schema ({type(exc).__name__}: {exc})"
         raise RuleBaseInvalid((Violation("schema", msg),)) from None
-    return RuleBase(partitions=partitions, rules=rules)
 
 
 def dump_rulebase(rb: RuleBase, path: str | Path) -> None:

@@ -116,8 +116,8 @@ def test_surface_rejects_invalid_rules(tmp_path, capsys):
     assert "[missing_antecedent]" in capsys.readouterr().err
 
 
-def _nan_fitted_mean(d):
-    d["inputs"][0]["sets"][0]["fitted_umf"]["mean"] = math.nan
+def _first_set(d, key, value):
+    d["inputs"][0]["sets"][0][key] = value
     return d
 
 
@@ -125,8 +125,11 @@ def _nan_fitted_mean(d):
     lambda d: [d],
     lambda d: {**d, "rules": [{**d["rules"][0], "if": 5}] + d["rules"][1:]},
     lambda d: {**d, "inputs": 3},
-    _nan_fitted_mean,
-], ids=["top_level_list", "scalar_antecedent", "scalar_inputs", "nan_fitted_mean"])
+    lambda d: _first_set(d, "fitted_umf", {"mean": math.nan, "sigma": 0.5, "scale": 1.0}),
+    lambda d: {**d, "inputs": [{**d["inputs"][0], "universe": [1.0, -1.0]}] + d["inputs"][1:]},
+    lambda d: _first_set(d, "kind", "trapezoid"),
+], ids=["top_level_list", "scalar_antecedent", "scalar_inputs", "nan_fitted_mean",
+        "reversed_universe", "unknown_kind"])
 def test_surface_rejects_malformed_rule_file(mangle, tmp_path, capsys):
     d = rulebase_to_dict(default_rulebase())
     rules = tmp_path / "malformed.json"
@@ -134,7 +137,7 @@ def test_surface_rejects_malformed_rule_file(mangle, tmp_path, capsys):
     rc = main(["surface", "--rules", str(rules), "--out",
                str(tmp_path / "x.csv")])
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    assert "error: invalid rule base:\n  [schema] " in capsys.readouterr().err
 
 
 def test_surface_validates_rule_base_once(monkeypatch, capsys):

@@ -20,6 +20,7 @@ from it2fuzz import (
     simulate,
     write_trace_csv,
 )
+from it2fuzz.pendulum import FORCE_GAIN
 
 from helpers import ConstantEngine
 from oracles import D_VELOCITY_AT_TENTH
@@ -70,17 +71,16 @@ def test_plant_derivatives_match_formula_with_force():
 
 
 def test_controller_zero_error_gives_zero_force():
-    assert controller_step(ENGINE, LoopConfig(), 0.0, 0.0) == (0.0, 0.0, 0.0, 0.0, False)
+    assert controller_step(ENGINE, 0.0, 0.0) == (0.0, 0.0, 0.0, 0.0, False)
 
 
 def test_controller_input_clamp_saturates():
-    cfg = LoopConfig()
     # pi/4 already scales to 1.0, so any larger error gives the same force
-    x1_quarter, _, _, f_quarter, _ = controller_step(ENGINE, cfg, math.pi / 4.0, 0.0)
-    x1_full, _, _, f_full, _ = controller_step(ENGINE, cfg, math.pi, 0.0)
+    x1_quarter, _, _, f_quarter, _ = controller_step(ENGINE, math.pi / 4.0, 0.0)
+    x1_full, _, _, f_full, _ = controller_step(ENGINE, math.pi, 0.0)
     assert x1_quarter == x1_full == 1.0
     assert f_quarter == f_full
-    assert f_full == cfg.force_gain * ENGINE.infer((1.0, 0.0)).value
+    assert f_full == FORCE_GAIN * ENGINE.infer((1.0, 0.0)).value
 
 
 def test_loop_config_validation():
@@ -91,7 +91,7 @@ def test_loop_config_validation():
     with pytest.raises(ValueError):
         LoopConfig(step=1e-3, duration=5e-4)
     with pytest.raises(ValueError):
-        LoopConfig(error_gain=math.inf)
+        LoopConfig(initial_angle=math.inf)
 
 
 def test_trace_shape_and_time_axis():
@@ -162,6 +162,17 @@ def test_blowup_raises_with_partial_trace():
     assert trace.failed
     assert 0 < trace.times.size < 1001
     assert trace.angles.size == trace.times.size == trace.forces.size
+
+
+def test_non_finite_force_raises_with_one_row_trace():
+    # the NaN force reaches the state in the first RK4 step, so only the
+    # t = 0 row is recorded
+    with pytest.raises(NumericalBlowup, match="sane range") as exc:
+        simulate(ConstantEngine(math.nan), LoopConfig(duration=1.0))
+    trace = exc.value.trace
+    assert trace.failed
+    assert trace.times.size == 1 and trace.angles[0] == 0.1
+    assert math.isnan(trace.forces[0])
 
 
 def test_write_trace_csv_round_trips(tmp_path):

@@ -8,7 +8,6 @@ import pytest
 from it2fuzz import (
     BoundSource,
     ClosedFormEngine,
-    ConsequentSet,
     DomainTooNarrow,
     EngineConfig,
     Form,
@@ -55,16 +54,15 @@ def test_sampled_curve_validation():
     assert c.ys[0] == -1.0 and c.ys[-1] == 1.0
 
 
-def test_consequent_set_rows_peak_at_centers():
-    cs = ConsequentSet((-1.0, 0.0, 1.0), 0.01)
-    ys = np.linspace(-1.5, 1.5, 3001)
-    mat = cs.matrix(ys)
-    assert mat.shape == (3, 3001)
-    for row, c in zip(mat, cs.centers):
-        assert ys[int(np.argmax(row))] == pytest.approx(c, abs=1e-3)
-        assert row.max() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        ConsequentSet((0.0,), 0.0)
+def test_consequent_rows_peak_at_centers():
+    # a lone rule firing fully gives its unit consequent bump as the upper
+    # curve; the 1e-3 grid spacing puts each center on a grid point
+    ref = RefConfig(grid_points=3001, bound_source=BoundSource.EXACT)
+    p = Partition((-1.0, 1.0), (IT2Gaussian.uncertain_mean(-0.1, 0.1, 0.4),))
+    for c in (-1.0, 0.0, 1.0):
+        u, _ = build_output_fou(RuleBase((p,), (Rule((0,), c),)), ref, (0.0,))
+        assert u.ys[int(np.argmax(u.values))] == pytest.approx(c, abs=1e-3)
+        assert u.values.max() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_domain_too_narrow_rejected():

@@ -1,7 +1,7 @@
 """Rule table construction, validation codes, and JSON round-tripping."""
 
 import math
-from importlib.resources import as_file, files
+from importlib.resources import files
 
 import pytest
 
@@ -43,16 +43,16 @@ def test_demo_layout():
 
 
 def test_demo_fitted_bounds_attached():
-    s = default_rulebase().partitions[1].sets[2]
-    assert s.fitted_umf.sigma == 0.5128 and s.fitted_umf.scale == 1.0
-    assert s.fitted_lmf.sigma == 0.3532 and s.fitted_lmf.scale == 0.895
-    assert s.fitted_umf.mean == s.center == 1.0
+    for p in default_rulebase().partitions:
+        for s in p.sets:
+            assert s.fitted_umf.sigma == 0.5128 and s.fitted_umf.scale == 1.0
+            assert s.fitted_lmf.sigma == 0.3532 and s.fitted_lmf.scale == 0.895
+            assert s.fitted_umf.mean == s.fitted_lmf.mean == s.center
 
 
 def test_demo_refit_recovers_frozen_constants():
-    rb = default_rulebase(refit=True)
-    for p in rb.partitions:
-        for s in p.sets:
+    for p in default_rulebase().partitions:
+        for s in (t.fit() for t in p.sets):
             assert s.fitted_umf.sigma == pytest.approx(FIT_B[0], abs=1e-9)
             assert s.fitted_lmf.sigma == pytest.approx(FIT_B[1], abs=1e-9)
             assert s.fitted_lmf.scale == pytest.approx(FIT_B[2], abs=1e-9)
@@ -182,9 +182,12 @@ def test_collapsed_roundtrip_via_dict():
     assert rulebase_from_dict(rulebase_to_dict(rb)) == rb
 
 
-def test_bundled_rules_match_builtin():
-    with as_file(files("it2fuzz") / "data" / "default_rules.json") as path:
-        assert load_rulebase(path) == default_rulebase()
+def test_bundled_rules_match_builtin(tmp_path):
+    # the packaged resource is the demo, written in dump_rulebase's format
+    path = tmp_path / "demo.json"
+    dump_rulebase(default_rulebase(), path)
+    bundled = files("it2fuzz") / "data" / "default_rules.json"
+    assert bundled.read_bytes() == path.read_bytes()
 
 
 def test_fitted_bounds_must_come_in_pairs():
