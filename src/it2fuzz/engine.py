@@ -17,6 +17,13 @@ live in the reference module.
 All sums run through ``math.fsum`` so results are exactly rounded; a
 sign-symmetric rule base therefore yields bit-exact odd symmetry.
 
+``ClosedFormEngine.infer_batch`` runs many input vectors at once (the
+surface export uses it) and equals ``infer`` bit for bit on every row:
+bounds are evaluated once per distinct input value, products and terms
+are numpy arithmetic in the same order, and each row sum is still a
+``math.fsum``.  ``infer`` stays the path for serial callers such as the
+pendulum loop, where a one-row batch would cost more than the inference.
+
 Degenerate cases are flagged, never raised: a collapsed FOU band falls
 back to the upper-firing average, and an input that fires nothing gives
 ``(0.0, degenerate=True)``.  A non-finite input (NaN or +-inf in any
@@ -29,6 +36,8 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .rulebase import RuleBase
 
@@ -194,3 +203,84 @@ class ClosedFormEngine:
         return InferenceResult(
             math.fsum(c * d for c, d in zip(self._cons, diffs)) / den, False
         )
+
+    def infer_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """``infer`` over the rows of an (N, n_inputs) array, bit for bit.
+
+        Returns ``(values, degenerate)``: a float array and a bool array of
+        length N, equal to ``infer(row)``'s value and flag on every row.
+        Each distinct value of each input column is put through the same
+        bound callables the per-call path uses, the per-rule products and
+        the form's terms are elementwise numpy arithmetic in the per-call
+        order, and every row sum is a ``math.fsum`` with the per-call
+        fallbacks, so no result depends on how rows are batched.
+
+        The gain comes from rows sharing column values, as on a Cartesian
+        grid, where each bound runs once per axis value instead of once
+        per row.  Rows with all-distinct values gain only the vectorised
+        products and terms, and pay for the sort that finds the distinct
+        values.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self._n_inputs:
+            raise ValueError(
+                f"expected an (N, {self._n_inputs}) array, got shape {X.shape}")
+        ups, los = self._firing_batch(X)
+        eps = DEGENERATE_EPSILON
+        form = self.cfg.form
+        cons = np.array(self._cons)
+        values = np.zeros(len(X))
+        degenerate = np.ones(len(X), dtype=bool)
+        if form is Form.NT_CLOSED:
+            sums = ups + los
+            den = _row_fsum(sums)
+            ok = den > eps
+            values[ok] = _row_fsum(cons * sums[ok]) / den[ok]
+            degenerate[ok] = False
+            return values, degenerate
+        diffs = ups - los
+        den = _row_fsum(diffs)
+        ok = den >= eps
+        split = form is Form.GC_CLOSED_SPLIT
+        cons_u = np.array(self._cons_u) if split else cons
+        # Rows of a collapsed band fall back to the upper-firing average.
+        fall = np.flatnonzero(~ok)
+        if fall.size:
+            fall_ups = ups[fall]
+            uden = _row_fsum(fall_ups)
+            fired = uden > eps
+            values[fall[fired]] = _row_fsum(cons_u * fall_ups[fired]) / uden[fired]
+        if split:
+            terms = np.hstack((cons_u * ups[ok], -np.array(self._cons_l) * los[ok]))
+        else:
+            terms = cons * diffs[ok]
+        values[ok] = _row_fsum(terms) / den[ok]
+        degenerate[ok] = False
+        return values, degenerate
+
+    def _firing_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(N, n_rules) upper and lower firing, equal to ``_firing`` row by row."""
+        fitted = self._params is not None
+        ups = los = None
+        ante_cols = np.array(self._ante, dtype=np.intp).reshape(-1, self._n_inputs).T
+        for part, col, ante in zip(self.rb.partitions, X.T, ante_cols):
+            # ScaledGaussian.__call__ is the expression _firing inlines.
+            sets = [(s.fitted_umf, s.fitted_lmf) if fitted else (s.umf, s.lmf)
+                    for s in part.sets]
+            # Distinct by bit pattern, so -0.0 and each NaN keep their own entry.
+            keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
+            xs = keys.view(np.float64).tolist()
+            shape = (len(xs), len(sets))
+            upper = np.array([f(x) for x in xs for f, _ in sets]).reshape(shape)
+            lower = np.array([f(x) for x in xs for _, f in sets]).reshape(shape)
+            u = upper[:, ante][inverse]
+            l = lower[:, ante][inverse]
+            # Left to right as in _firing (whose leading 1.0 * is exact).
+            ups = u if ups is None else ups * u
+            los = l if los is None else los * l
+        return ups, los
+
+
+def _row_fsum(m: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of a 2-D array, one row list alive at a time."""
+    return np.fromiter((math.fsum(row.tolist()) for row in m), dtype=float, count=len(m))

@@ -274,11 +274,32 @@ def rulebase_to_dict(rb: RuleBase) -> dict:
     return {"inputs": inputs, "rules": rules}
 
 
+def _typed(value, kinds: tuple[type, ...], what: str):
+    """value itself if it is one of kinds (a bool never is), else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"{what} must be {' or '.join(k.__name__ for k in kinds)}, "
+                        f"got {value!r}")
+    return value
+
+
+def _names(value) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(n, str) for n in value):
+        raise TypeError(f"names must be a list of strings, got {value!r}")
+    return tuple(value)
+
+
+def _consequent(rd: dict, key: str) -> float | None:
+    value = rd.get(key)
+    return None if value is None else _typed(value, (int, float), key)
+
+
 def rulebase_from_dict(d: dict) -> RuleBase:
     """Build a rule base from its JSON form.
 
     Data of the wrong shape (a missing key, a list or a number where an
-    object belongs) or a value a constructor rejects (a NaN mean, a
+    object belongs), of the wrong type (an antecedent index that is not
+    an integer, a consequent that is not a number, names that are not a
+    list of strings) or a value a constructor rejects (a NaN mean, a
     reversed universe, an unknown set kind) raises RuleBaseInvalid with
     one ``schema`` violation.
     """
@@ -287,16 +308,16 @@ def rulebase_from_dict(d: dict) -> RuleBase:
             Partition(
                 universe=tuple(entry["universe"]),
                 sets=tuple(_set_from_dict(sd) for sd in entry["sets"]),
-                names=tuple(entry["names"]) if "names" in entry else None,
+                names=_names(entry["names"]) if "names" in entry else None,
             )
             for entry in d["inputs"]
         )
         rules = tuple(
             Rule(
-                antecedent=tuple(rd["if"]),
-                consequent=rd["b"],
-                consequent_upper=rd.get("b_upper"),
-                consequent_lower=rd.get("b_lower"),
+                antecedent=tuple(_typed(i, (int,), "antecedent index") for i in rd["if"]),
+                consequent=_typed(rd["b"], (int, float), "b"),
+                consequent_upper=_consequent(rd, "b_upper"),
+                consequent_lower=_consequent(rd, "b_lower"),
             )
             for rd in d["rules"]
         )

@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from it2fuzz import (BoundSource, ClosedFormEngine, RuleBase, default_rulebase,
-                     dump_rulebase, rulebase_to_dict)
+from it2fuzz import (BoundSource, ClosedFormEngine, ReferenceEngine, RuleBase,
+                     default_rulebase, dump_rulebase, rulebase_to_dict)
 from it2fuzz.cli import (CliError, SurfaceSpec, generate_surface, lcg_probes,
                          main, parse_engine_mode, run_bench)
 
@@ -79,6 +79,25 @@ def test_surface_rows_match_engine():
         assert val == engine.infer((x1, x2)).value
 
 
+def test_surface_batches_closed_forms_only(monkeypatch):
+    calls = {"infer_batch": 0, "infer": 0, "ref": 0}
+
+    def counting(key, fn):
+        def wrapper(self, arg):
+            calls[key] += 1
+            return fn(self, arg)
+        return wrapper
+
+    monkeypatch.setattr(ClosedFormEngine, "infer_batch",
+                        counting("infer_batch", ClosedFormEngine.infer_batch))
+    monkeypatch.setattr(ClosedFormEngine, "infer", counting("infer", ClosedFormEngine.infer))
+    monkeypatch.setattr(ReferenceEngine, "infer", counting("ref", ReferenceEngine.infer))
+    lines = generate_surface(RB, SurfaceSpec(
+        grid=3, engines=("gc-closed", "nt-closed-exact", "gc-ref")))
+    assert len(lines) == 1 + 9
+    assert calls == {"infer_batch": 2, "infer": 0, "ref": 9}
+
+
 def test_surface_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["surface", "--grid", "7", "--out", str(a)]) == 0
@@ -128,8 +147,12 @@ def _first_set(d, key, value):
     lambda d: _first_set(d, "fitted_umf", {"mean": math.nan, "sigma": 0.5, "scale": 1.0}),
     lambda d: {**d, "inputs": [{**d["inputs"][0], "universe": [1.0, -1.0]}] + d["inputs"][1:]},
     lambda d: _first_set(d, "kind", "trapezoid"),
+    lambda d: {**d, "rules": [{**d["rules"][0], "if": [0.7, 0.2]}] + d["rules"][1:]},
+    lambda d: {**d, "rules": [{**d["rules"][0], "b": True}] + d["rules"][1:]},
+    lambda d: {**d, "inputs": [{**d["inputs"][0], "names": "NZP"}] + d["inputs"][1:]},
 ], ids=["top_level_list", "scalar_antecedent", "scalar_inputs", "nan_fitted_mean",
-        "reversed_universe", "unknown_kind"])
+        "reversed_universe", "unknown_kind", "float_antecedent", "bool_consequent",
+        "string_names"])
 def test_surface_rejects_malformed_rule_file(mangle, tmp_path, capsys):
     d = rulebase_to_dict(default_rulebase())
     rules = tmp_path / "malformed.json"

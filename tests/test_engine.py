@@ -19,7 +19,7 @@ from it2fuzz import (
     RuleBaseInvalid,
     default_rulebase,
 )
-from it2fuzz.cli import build_engine
+from it2fuzz.cli import build_engine, lcg_probes
 
 from helpers import collapsed_rulebase, split_rulebase
 from oracles import (DEMO_CONSEQUENTS, GC_CORNER, NT_CORNER, SPLIT_ORIGIN,
@@ -193,11 +193,46 @@ def test_neighboring_grid_outputs_stay_close():
     assert float(np.max(np.abs(np.diff(vals, axis=1)))) < 0.2
 
 
-@pytest.mark.parametrize("token", ["gc-closed", "gc-closed-split", "nt-closed",
-                                   "gc-closed-exact", "gc-closed-split-exact",
-                                   "nt-closed-exact"])
+CLOSED_TOKENS = ("gc-closed", "gc-closed-split", "nt-closed",
+                 "gc-closed-exact", "gc-closed-split-exact", "nt-closed-exact")
+
+
+@pytest.mark.parametrize("token", CLOSED_TOKENS)
 def test_non_finite_input_gives_flagged_zero(token):
     engine = build_engine(split_rulebase(RB), token)
     for bad in (math.nan, math.inf, -math.inf):
         assert engine.infer((bad, 0.2)) == (0.0, True)
         assert engine.infer((-0.4, bad)) == (0.0, True)
+
+
+BATCH_POINTS = (lcg_probes(2000)
+                + [(a, b) for a in (-1.0, 1.0) for b in (-1.0, 1.0)]
+                + [(0.0, -0.0), (30.0, 30.0), (1e300, -1e300)]
+                + [x for bad in (math.nan, math.inf, -math.inf)
+                   for x in ((bad, 0.2), (-0.4, bad))])
+BATCH_CASES = ([("demo", t) for t in CLOSED_TOKENS if "split" not in t]
+               + [("split", t) for t in CLOSED_TOKENS]
+               + [("collapsed", t) for t in ("gc-closed-exact", "nt-closed-exact")])
+
+
+@pytest.mark.parametrize("base, token", BATCH_CASES,
+                         ids=[f"{b}-{t}" for b, t in BATCH_CASES])
+def test_infer_batch_matches_infer_bitwise(base, token):
+    rb = {"demo": RB, "split": split_rulebase(RB), "collapsed": collapsed_rulebase()}[base]
+    engine = build_engine(rb, token)
+    values, degenerate = engine.infer_batch(np.array(BATCH_POINTS))
+    assert values.dtype == np.float64 and degenerate.dtype == np.bool_
+    assert len(values) == len(degenerate) == len(BATCH_POINTS)
+    for x, v, d in zip(BATCH_POINTS, values.tolist(), degenerate.tolist()):
+        r = engine.infer(x)
+        assert (v.hex(), d) == (r.value.hex(), r.degenerate), x
+
+
+def test_infer_batch_empty_and_wrong_shape():
+    engine = ClosedFormEngine(RB, CFG)
+    values, degenerate = engine.infer_batch(np.empty((0, 2)))
+    assert values.shape == degenerate.shape == (0,)
+    assert values.dtype == np.float64 and degenerate.dtype == np.bool_
+    for bad in (np.zeros((3, 1)), np.zeros((3, 3)), np.zeros(2), np.zeros((1, 2, 1))):
+        with pytest.raises(ValueError, match="expected an"):
+            engine.infer_batch(bad)

@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Benchmark a parent commit against the working tree in alternating pairs.
+
+    python3 tools/bench_pairs.py --parent <ref> --out BENCH_<n>.json
+
+Run it from anywhere inside the repository.  The parent side is
+``git archive <ref>`` unpacked into a temporary directory, the change side
+a copy of this working tree's files (tracked and untracked, less what
+git ignores) into a sibling one, so both run from fresh directories on
+the same file system.  Pair k (k = 1..10) runs
+``perfbench/run.py --workload all --seed k --trace 0`` on both sides, the
+parent first in odd pairs and the change first in even ones; one more
+pair runs the holdout seed that perfbench reports in its environment
+record.  Every run lasts BENCHMARK.json's ``run_seconds`` per workload.
+
+The JSON written holds, for each workload and each end-to-end metric in
+BENCHMARK.json, each side's median and quartiles over the numbered pairs,
+how many of those pairs the change won (ties count for neither side), the
+holdout pair's values, every run's raw values, and perfbench's
+environment record of each side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+
+
+def run_side(tree: Path, seed: int, seconds: float) -> dict:
+    """One ``--workload all`` run in a source tree: metrics, op counts, env."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    last = json.loads(lines[-1])
+    env = next(json.loads(line)["env"] for line in lines if line.startswith('{"env"'))
+    return {"seed": seed, "correct": last["correct"], "attempted": last["attempted"],
+            "failed": last["failed"], "env": env,
+            "metrics": {k: m["value"] for k, m in last["metrics"].items()}}
+
+
+def summarize(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
+
+
+def main(argv: list[str] | None = None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", required=True, help="git ref of the parent side")
+    p.add_argument("--out", required=True, help="JSON file to write")
+    args = p.parse_args(argv)
+    seconds = bench["run_seconds"]
+
+    def git(*cmd: str) -> str:
+        return subprocess.run(["git", *cmd], cwd=ROOT, check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    sha, head = git("rev-parse", args.parent), git("rev-parse", "HEAD")
+    modified = bool(git("status", "--porcelain", "--untracked-files=no"))
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
+                                 capture_output=True).stdout  # bytes, not text
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(trees["parent"], filter="data")
+        for rel in git("ls-files", "--cached", "--others", "--exclude-standard").splitlines():
+            if (ROOT / rel).is_file():  # a deleted tracked file is still listed
+                (trees["change"] / rel).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(ROOT / rel, trees["change"] / rel)
+        for k in range(1, PAIRS + 2):
+            # The last pair runs the holdout seed, known once a run has reported it.
+            seed = k if k <= PAIRS else runs["parent"][0]["env"]["holdout_seed"]
+            order = ("parent", "change") if k % 2 else ("change", "parent")
+            for side in order:
+                t0 = time.perf_counter()
+                runs[side].append(run_side(trees[side], seed, seconds))
+                print(f"pair {k}/{PAIRS + 1} seed {seed} {side}: "
+                      f"{time.perf_counter() - t0:.0f} s", file=sys.stderr)
+    holdout_seed = runs["parent"][-1]["seed"]
+
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    workloads = {}
+    for w in (wl["name"] for wl in bench["workloads"]):
+        rows = {}
+        for name, direction in better.items():
+            key = f"{w}.{name}"
+            par = [r["metrics"][key] for r in runs["parent"]]
+            chg = [r["metrics"][key] for r in runs["change"]]
+            sign = 1.0 if direction == "lower" else -1.0
+            pairs = list(zip(par[:-1], chg[:-1]))
+            rows[name] = {
+                "better": direction,
+                "parent": summarize([a for a, _ in pairs]),
+                "change": summarize([b for _, b in pairs]),
+                "change_wins": sum(sign * (a - b) > 0 for a, b in pairs),
+                "parent_wins": sum(sign * (b - a) > 0 for a, b in pairs),
+                "holdout": {"seed": holdout_seed, "parent": par[-1], "change": chg[-1]},
+            }
+            rows[name]["median_ratio"] = (rows[name]["change"]["median"]
+                                          / rows[name]["parent"]["median"])
+        workloads[w] = rows
+    report = {
+        "command": "python3 tools/bench_pairs.py " + " ".join(sys.argv[1:] if argv is None
+                                                               else argv),
+        "parent_ref": args.parent, "parent_sha": sha,
+        "change": "working tree copy", "change_head": head, "change_modified": modified,
+        "pairs": PAIRS, "seconds": seconds,
+        "order": "parent first in odd pairs, change first in even pairs",
+        "env": {side: runs[side][0]["env"] for side in runs},
+        "workloads": workloads,
+        "runs": {side: [{k: v for k, v in r.items() if k != "env"} for r in runs[side]]
+                 for side in runs},
+    }
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
