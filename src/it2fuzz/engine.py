@@ -5,7 +5,10 @@ each inference in three short steps: per-input membership bounds,
 per-rule firing intervals (product t-norm), and a single weighted-average
 formula that goes straight from firing intervals to a crisp output.  No
 output-domain discretization is involved; the discretized counterparts
-live in the reference module.
+live in the reference module.  The engine flattens the partitions into
+one table row per (input, set) and stores each rule's antecedent as row
+indices into it, so a call fills two flat lists of bounds and each rule's
+product reads them left to right.
 
 ``EngineConfig.form`` picks one of three closed forms:
 
@@ -33,7 +36,9 @@ slot) also gives ``(0.0, degenerate=True)``.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -116,51 +121,49 @@ class ClosedFormEngine:
         if rb.is_split:
             self._cons_u = tuple(r.consequent_upper for r in rb.rules)
             self._cons_l = tuple(r.consequent_lower for r in rb.rules)
-        # Per input, per set: fitted parameters for inline evaluation, or
-        # the exact bound methods (branchy, left as calls).
+        # One row per (input, set), inputs in order: the input index and
+        # the fitted parameters for inline evaluation, or the exact bound
+        # methods (branchy, left as calls).  Each rule's antecedent becomes
+        # row indices into that table.
         if fitted:
             self._params = tuple(
-                tuple((s.fitted_umf.mean, s.fitted_umf.sigma, s.fitted_umf.scale,
-                       s.fitted_lmf.mean, s.fitted_lmf.sigma, s.fitted_lmf.scale)
-                      for s in p.sets)
-                for p in rb.partitions
+                (i, s.fitted_umf.mean, s.fitted_umf.sigma, s.fitted_umf.scale,
+                 s.fitted_lmf.mean, s.fitted_lmf.sigma, s.fitted_lmf.scale)
+                for i, p in enumerate(rb.partitions) for s in p.sets
             )
         else:
             self._params = None
             self._exact = tuple(
-                tuple((s.umf, s.lmf) for s in p.sets) for p in rb.partitions
+                (i, s.umf, s.lmf) for i, p in enumerate(rb.partitions) for s in p.sets
             )
+        offsets = tuple(itertools.accumulate(rb.shape[:-1], initial=0))
+        self._rows = tuple(tuple(map(operator.add, offsets, ant)) for ant in self._ante)
 
     def _firing(self, x: Sequence[float]) -> tuple[list[float], list[float]]:
         """Per-rule upper and lower firing; lower <= upper always holds."""
         if len(x) != self._n_inputs:
             raise ValueError(f"expected {self._n_inputs} inputs, got {len(x)}")
-        uppers: list[list[float]] = []
-        lowers: list[list[float]] = []
         if self._params is not None:
             exp = math.exp
-            for sets, xi in zip(self._params, x):
-                us: list[float] = []
-                ls: list[float] = []
-                for um, usg, usc, lm, lsg, lsc in sets:
-                    z = (xi - um) / usg
-                    us.append(usc * exp(-0.5 * z * z))
-                    z = (xi - lm) / lsg
-                    ls.append(lsc * exp(-0.5 * z * z))
-                uppers.append(us)
-                lowers.append(ls)
+            us: list[float] = []
+            ls: list[float] = []
+            for i, um, usg, usc, lm, lsg, lsc in self._params:
+                xi = x[i]
+                z = (xi - um) / usg
+                us.append(usc * exp(-0.5 * z * z))
+                z = (xi - lm) / lsg
+                ls.append(lsc * exp(-0.5 * z * z))
         else:
-            for sets, xi in zip(self._exact, x):
-                uppers.append([ub(xi) for ub, _ in sets])
-                lowers.append([lb(xi) for _, lb in sets])
+            us = [ub(x[i]) for i, ub, _ in self._exact]
+            ls = [lb(x[i]) for i, _, lb in self._exact]
         ups: list[float] = []
         los: list[float] = []
-        for ant in self._ante:
+        for rows in self._rows:
             u = 1.0
             l = 1.0
-            for i, a in enumerate(ant):
-                u *= uppers[i][a]
-                l *= lowers[i][a]
+            for k in rows:
+                u *= us[k]
+                l *= ls[k]
             ups.append(u)
             los.append(l)
         return ups, los

@@ -204,12 +204,13 @@ def settle_time(trace: SimTrace) -> float | None:
 
 def write_trace_csv(trace: SimTrace, path: str | Path) -> None:
     """Write the trace with a fixed header at 17 significant digits."""
-    lines = ["t,angle,angular_velocity,force,x1,x2,u,degenerate"]
-    for i in range(trace.times.size):
-        lines.append(
-            f"{trace.times[i]:.17g},{trace.angles[i]:.17g},"
-            f"{trace.angular_velocities[i]:.17g},{trace.forces[i]:.17g},"
-            f"{trace.controller_inputs[i, 0]:.17g},{trace.controller_inputs[i, 1]:.17g},"
-            f"{trace.controller_outputs[i]:.17g},{int(trace.degenerate_flags[i])}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    # Whole columns convert to Python numbers at once, and the rows are
+    # streamed so no second copy of the file is held in memory.
+    columns = (trace.times.tolist(), trace.angles.tolist(),
+               trace.angular_velocities.tolist(), trace.forces.tolist(),
+               trace.controller_inputs[:, 0].tolist(), trace.controller_inputs[:, 1].tolist(),
+               trace.controller_outputs.tolist(), trace.degenerate_flags.astype(int).tolist())
+    with open(path, "w") as fh:
+        fh.write("t,angle,angular_velocity,force,x1,x2,u,degenerate\n")
+        fh.writelines(f"{t:.17g},{a:.17g},{w:.17g},{f:.17g},{x1:.17g},{x2:.17g},{u:.17g},{d}\n"
+                      for t, a, w, f, x1, x2, u, d in zip(*columns))

@@ -238,11 +238,14 @@ def _set_to_dict(s: IT2Gaussian) -> dict:
 
 
 def _set_from_dict(d: dict) -> IT2Gaussian:
+    def num(src: dict, key: str):
+        return _typed(src[key], (int, float), key)
+
     kind = d.get("kind")
     if kind == UNCERTAIN_MEAN:
-        s = IT2Gaussian.uncertain_mean(d["mean_lo"], d["mean_hi"], d["sigma"])
+        s = IT2Gaussian.uncertain_mean(num(d, "mean_lo"), num(d, "mean_hi"), num(d, "sigma"))
     elif kind == UNCERTAIN_SIGMA:
-        s = IT2Gaussian.uncertain_sigma(d["mean"], d["sigma_lo"], d["sigma_hi"])
+        s = IT2Gaussian.uncertain_sigma(num(d, "mean"), num(d, "sigma_lo"), num(d, "sigma_hi"))
     else:
         raise ValueError(f"unknown set kind {kind!r}")
     fu, fl = d.get("fitted_umf"), d.get("fitted_lmf")
@@ -250,8 +253,8 @@ def _set_from_dict(d: dict) -> IT2Gaussian:
         raise ValueError("fitted bounds must come in pairs")
     if fu is not None:
         s = s.with_fitted(
-            ScaledGaussian(fu["mean"], fu["sigma"], fu["scale"]),
-            ScaledGaussian(fl["mean"], fl["sigma"], fl["scale"]),
+            ScaledGaussian(num(fu, "mean"), num(fu, "sigma"), num(fu, "scale")),
+            ScaledGaussian(num(fl, "mean"), num(fl, "sigma"), num(fl, "scale")),
         )
     return s
 
@@ -298,15 +301,16 @@ def rulebase_from_dict(d: dict) -> RuleBase:
 
     Data of the wrong shape (a missing key, a list or a number where an
     object belongs), of the wrong type (an antecedent index that is not
-    an integer, a consequent that is not a number, names that are not a
-    list of strings) or a value a constructor rejects (a NaN mean, a
-    reversed universe, an unknown set kind) raises RuleBaseInvalid with
-    one ``schema`` violation.
+    an integer, a consequent, set parameter or universe end that is not a
+    number, names that are not a list of strings) or a value a
+    constructor rejects (a NaN mean, a reversed universe, an unknown set
+    kind) raises RuleBaseInvalid with one ``schema`` violation.
     """
     try:
         partitions = tuple(
             Partition(
-                universe=tuple(entry["universe"]),
+                universe=tuple(_typed(v, (int, float), "universe end")
+                               for v in entry["universe"]),
                 sets=tuple(_set_from_dict(sd) for sd in entry["sets"]),
                 names=_names(entry["names"]) if "names" in entry else None,
             )

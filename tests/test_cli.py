@@ -150,9 +150,13 @@ def _first_set(d, key, value):
     lambda d: {**d, "rules": [{**d["rules"][0], "if": [0.7, 0.2]}] + d["rules"][1:]},
     lambda d: {**d, "rules": [{**d["rules"][0], "b": True}] + d["rules"][1:]},
     lambda d: {**d, "inputs": [{**d["inputs"][0], "names": "NZP"}] + d["inputs"][1:]},
+    lambda d: _first_set(d, "sigma", "0.418"),
+    lambda d: _first_set(d, "fitted_umf", {**d["inputs"][0]["sets"][0]["fitted_umf"],
+                                           "scale": True}),
+    lambda d: {**d, "inputs": [{**d["inputs"][0], "universe": [-1, True]}] + d["inputs"][1:]},
 ], ids=["top_level_list", "scalar_antecedent", "scalar_inputs", "nan_fitted_mean",
         "reversed_universe", "unknown_kind", "float_antecedent", "bool_consequent",
-        "string_names"])
+        "string_names", "string_sigma", "bool_fitted_scale", "bool_universe_end"])
 def test_surface_rejects_malformed_rule_file(mangle, tmp_path, capsys):
     d = rulebase_to_dict(default_rulebase())
     rules = tmp_path / "malformed.json"

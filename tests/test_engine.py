@@ -1,5 +1,6 @@
 """Closed-form inference: firing intervals, the three output forms, fallbacks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from it2fuzz import (
     Rule,
     RuleBase,
     RuleBaseInvalid,
+    ScaledGaussian,
     default_rulebase,
 )
 from it2fuzz.cli import build_engine, lcg_probes
@@ -195,6 +197,62 @@ def test_neighboring_grid_outputs_stay_close():
 
 CLOSED_TOKENS = ("gc-closed", "gc-closed-split", "nt-closed",
                  "gc-closed-exact", "gc-closed-split-exact", "nt-closed-exact")
+
+
+def _uneven_partition(centers):
+    """Sets alternating uncertain mean and uncertain sigma, fitted by hand."""
+    sets = []
+    for k, c in enumerate(centers):
+        s = (IT2Gaussian.uncertain_mean(c - 0.1, c + 0.1, 0.3) if k % 2 == 0
+             else IT2Gaussian.uncertain_sigma(c, 0.2, 0.35))
+        sets.append(s.with_fitted(ScaledGaussian(c, 0.4, 1.0),
+                                  ScaledGaussian(c, 0.25, 0.9 - 0.05 * k)))
+    return Partition((-1.0, 1.0), tuple(sets))
+
+
+def uneven_rulebase() -> RuleBase:
+    """Three inputs with 2, 3 and 4 sets; rules out of row-major order."""
+    parts = (_uneven_partition((-0.5, 0.5)), _uneven_partition((-0.8, 0.0, 0.8)),
+             _uneven_partition((-0.9, -0.3, 0.3, 0.9)))
+    combos = sorted(itertools.product(range(2), range(3), range(4)),
+                    key=lambda a: (a[2], -a[1], a[0]))
+    rules = tuple(Rule(a, b, b + 0.1, b - 0.2)
+                  for a, b in zip(combos, np.linspace(-1.0, 1.0, len(combos)).tolist()))
+    return RuleBase(parts, rules)
+
+
+UNEVEN_POINTS = ([(a, b, c) for a in (-1.0, -0.0, 0.37) for b in (-0.6, 0.0, 0.95)
+                  for c in (-0.95, -0.2, 0.5, 3.0)]
+                 + [(x[0], x[1], x[0] * x[1]) for x in lcg_probes(200)])
+
+
+@pytest.mark.parametrize("source", list(BoundSource))
+def test_fire_on_uneven_rulebase_is_the_ordered_product(source):
+    rb = uneven_rulebase()
+    fired = ClosedFormEngine(rb, EngineConfig(bound_source=source))
+    for x in UNEVEN_POINTS:
+        got = fired.fire(x)
+        assert len(got) == len(rb.rules) == 24
+        for rule, f in zip(rb.rules, got):
+            u = l = 1.0
+            for xi, p, a in zip(x, rb.partitions, rule.antecedent):
+                s = p.sets[a]
+                if source is BoundSource.FITTED:
+                    u *= s.fitted_umf(xi)
+                    l *= s.fitted_lmf(xi)
+                else:
+                    u *= s.umf(xi)
+                    l *= s.lmf(xi)
+            assert (f.upper.hex(), f.lower.hex()) == (u.hex(), l.hex()), (x, rule)
+
+
+@pytest.mark.parametrize("token", CLOSED_TOKENS)
+def test_infer_batch_matches_infer_on_uneven_rulebase(token):
+    engine = build_engine(uneven_rulebase(), token)
+    values, degenerate = engine.infer_batch(np.array(UNEVEN_POINTS))
+    for x, v, d in zip(UNEVEN_POINTS, values.tolist(), degenerate.tolist()):
+        r = engine.infer(x)
+        assert (v.hex(), d) == (r.value.hex(), r.degenerate), x
 
 
 @pytest.mark.parametrize("token", CLOSED_TOKENS)

@@ -186,3 +186,42 @@ def test_write_trace_csv_round_trips(tmp_path):
     assert len(cells) == 8
     assert float(cells[1]) == trace.angles[4]  # 17 digits survive the round trip
     assert cells[7] in ("0", "1")
+
+
+def _reference_csv(trace):
+    """The trace file as a per-element loop over the arrays formats it."""
+    lines = ["t,angle,angular_velocity,force,x1,x2,u,degenerate"]
+    for i in range(trace.times.size):
+        lines.append(
+            f"{trace.times[i]:.17g},{trace.angles[i]:.17g},"
+            f"{trace.angular_velocities[i]:.17g},{trace.forces[i]:.17g},"
+            f"{trace.controller_inputs[i, 0]:.17g},{trace.controller_inputs[i, 1]:.17g},"
+            f"{trace.controller_outputs[i]:.17g},{int(trace.degenerate_flags[i])}"
+        )
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _blowup_trace(engine, cfg):
+    with pytest.raises(NumericalBlowup) as exc:
+        simulate(engine, cfg)
+    return exc.value.trace
+
+
+@pytest.mark.parametrize("make, rows", [
+    (lambda: simulate(ENGINE, LoopConfig(duration=0.2, initial_angle=-0.0)), 201),
+    (lambda: _blowup_trace(ConstantEngine(math.nan), LoopConfig(duration=1.0)), 1),
+    (lambda: _blowup_trace(ENGINE, LoopConfig(initial_angle=2e6)), 0),
+], ids=["negative_zero_start", "nan_force", "empty"])
+def test_write_trace_csv_matches_per_element_formatting(make, rows, tmp_path):
+    trace = make()
+    assert trace.times.size == rows
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    data = path.read_bytes()
+    assert data == _reference_csv(trace)
+    if rows == 0:
+        assert data == b"t,angle,angular_velocity,force,x1,x2,u,degenerate\n"
+    elif rows == 1:
+        assert b",nan," in data
+    else:
+        assert b"\n0,-0," in data
