@@ -18,6 +18,7 @@ timings themselves.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import statistics
@@ -141,9 +142,11 @@ def generate_surface(rb: RuleBase, spec: SurfaceSpec) -> list[str]:
     columns = [e.infer_batch(grid)[0].tolist() if isinstance(e, ClosedFormEngine)
                else [e.infer(x).value for x in points]
                for e in engines]
+    labels = [_fmt(v) for v in axis.tolist()]
     lines = ["x1,x2," + ",".join(spec.engines)]
-    for (x1, x2), vals in zip(points, zip(*columns)):
-        lines.append(f"{_fmt(x1)},{_fmt(x2)}," + ",".join(map(_fmt, vals)))
+    lines.extend(f"{l1},{l2}," + ",".join(map(_fmt, vals))
+                 for (l1, l2), vals in zip(itertools.product(labels, repeat=2),
+                                           zip(*columns)))
     return lines
 
 

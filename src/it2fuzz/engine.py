@@ -23,9 +23,11 @@ sign-symmetric rule base therefore yields bit-exact odd symmetry.
 ``ClosedFormEngine.infer_batch`` runs many input vectors at once (the
 surface export uses it) and equals ``infer`` bit for bit on every row:
 bounds are evaluated once per distinct input value, products and terms
-are numpy arithmetic in the same order, and each row sum is still a
-``math.fsum``.  ``infer`` stays the path for serial callers such as the
-pendulum loop, where a one-row batch would cost more than the inference.
+are numpy arithmetic in the same order, and the row sums are numpy
+error-free transformations whose result is proven equal to
+``math.fsum``'s, with ``math.fsum`` itself on any row the proof does not
+cover.  ``infer`` stays the path for serial callers such as the pendulum
+loop, where a one-row batch would cost more than the inference.
 
 Degenerate cases are flagged, never raised: a collapsed FOU band falls
 back to the upper-firing average, and an input that fires nothing gives
@@ -215,8 +217,9 @@ class ClosedFormEngine:
         Each distinct value of each input column is put through the same
         bound callables the per-call path uses, the per-rule products and
         the form's terms are elementwise numpy arithmetic in the per-call
-        order, and every row sum is a ``math.fsum`` with the per-call
-        fallbacks, so no result depends on how rows are batched.
+        order, and every row sum equals ``math.fsum``'s (``_row_fsum``),
+        with the per-call fallbacks, so no result depends on how rows are
+        batched.
 
         The gain comes from rows sharing column values, as on a Cartesian
         grid, where each bound runs once per axis value instead of once
@@ -285,5 +288,65 @@ class ClosedFormEngine:
 
 
 def _row_fsum(m: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of each row of a 2-D array, one row list alive at a time."""
-    return np.fromiter((math.fsum(row.tolist()) for row in m), dtype=float, count=len(m))
+    """``math.fsum`` of each row of a 2-D array, bit for bit, mostly in numpy.
+
+    Each row is summed by a pairwise tree of error-free TwoSums (Knuth;
+    as in Ogita, Rump & Oishi, "Accurate sum and dot product", 2005):
+    ``t = a + b`` and ``e = (a - (t - z)) + (b - z)`` with ``z = t - a``
+    give ``a + b == t + e`` exactly when nothing overflows, so the exact
+    row sum is ``s0 + sum(e)`` for the last ``t`` left, ``s0``.
+
+    The certificate: ``c = sum(e)`` in plain float64 is off the exact
+    ``sum(e)`` by at most ``(R-2)u * sum|e|`` (u = 2**-53) in any order,
+    since additions whose result is subnormal are exact; ``delta = 4(R+1)u
+    * A + R * 2**-1074``, with ``A`` the float sum of ``|e|``, covers that
+    and its own rounding, the second term keeping it from underflowing to
+    0.  Then ``res, f = TwoSum(s0, c)`` puts the exact sum within ``|f| +
+    delta`` of ``res``.  Where that is strictly below half the gap from
+    ``res`` to its neighbour toward zero (the smaller of its two gaps, so
+    powers of two are safe; rounding is monotone, so the float comparison
+    cannot pass when the exact one fails), the exact sum lies inside
+    ``res``'s rounding interval and ``res`` is the correctly rounded sum,
+    which is what ``fsum`` returns.  A row is certified only when every
+    entry is below ``2**1000 / R`` in magnitude, so neither the tree nor
+    ``fsum``'s partials can overflow.
+
+    Every other row is summed by ``math.fsum`` itself: zero results
+    (whose gap is 0, which also covers signed zeros), NaN and infinite
+    entries (their comparisons are false), near-ties and heavy
+    cancellation all land there by construction.
+    """
+    n, r = m.shape
+    if not m.size:
+        return np.zeros(n)
+    s = np.ascontiguousarray(m.T)
+    e = np.zeros((max(r - 1, 1), n))
+    k = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        small = np.abs(s).max(axis=0) < 2.0 ** 1000 / r
+        while len(s) > 1:
+            h = len(s) // 2
+            a, b = s[:h], s[h:2 * h]
+            t = a + b
+            z = t - a
+            # e = (a - (t - z)) + (b - z), written into its block of e.
+            ek = e[k:k + h]
+            np.subtract(t, z, out=ek)
+            np.subtract(a, ek, out=ek)
+            np.subtract(b, z, out=z)
+            ek += z
+            k += h
+            # An odd last row is carried over to the next level.
+            s = np.concatenate((t, s[2 * h:])) if len(s) % 2 else t
+        c = e.sum(axis=0)
+        delta = np.abs(e, out=e).sum(axis=0)
+        delta *= 4 * (r + 1) * 2.0 ** -53
+        delta += r * 2.0 ** -1074
+        s0 = s[0]
+        res = s0 + c
+        z = res - s0
+        f = (s0 - (res - z)) + (c - z)
+        ok = (np.abs(f) + delta < 0.5 * np.abs(res - np.nextafter(res, 0.0))) & small
+    for i in np.flatnonzero(~ok):
+        res[i] = math.fsum(m[i].tolist())
+    return res

@@ -253,21 +253,35 @@ def fit_bounds(
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError(f"empty fitting window ({lo}, {hi})")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"fitting window ends must be finite, got ({lo}, {hi})")
     if lo > m.mean_lo or hi < m.mean_hi:
         raise ValueError("fitting window must contain the FOU mean interval")
     if samples < 101:
         raise ValueError(f"need at least 101 samples, got {samples}")
 
-    xs = np.linspace(lo, hi, int(samples))
-    center = m.center
-    dx2 = (xs - center) ** 2
-    u_target = m.umf_samples(xs)
-    l_target = m.lmf_samples(xs)
-
+    # The search spans [sig_lo, sig_hi]; curve() divides by sigma squared,
+    # so both squares (and 0.5 over the smaller) must be finite and non-zero.
     half = 0.5 * (hi - lo)
     sig_lo = 0.01 * min(m.sigma_lo, half)
     sig_hi = max(2.0 * half, 4.0 * m.sigma_hi)
+    lo_sq, hi_sq = sig_lo * sig_lo, sig_hi * sig_hi
+    if not (lo_sq > 0.0 and math.isfinite(0.5 / lo_sq)):
+        raise ValueError(f"smallest search sigma {sig_lo:.3g} must be above "
+                         "~5e-155, or 0.5 over its square overflows")
+    if not math.isfinite(hi_sq):
+        raise ValueError(f"largest search sigma {sig_hi:.3g} must be below "
+                         "~1.3e154, or its square overflows")
     gs_tol = 1e-3 * _PARAM_TOL
+
+    xs = np.linspace(lo, hi, int(samples))
+    center = m.center
+    with np.errstate(over="ignore"):
+        dx2 = (xs - center) ** 2
+    if not np.all(np.isfinite(dx2)):
+        raise ValueError("squared distances from the FOU center must be finite")
+    u_target = m.umf_samples(xs)
+    l_target = m.lmf_samples(xs)
 
     def curve(sigma: float) -> np.ndarray:
         return np.exp(dx2 * (-0.5 / (sigma * sigma)))

@@ -256,6 +256,10 @@ def test_fit_command_degenerate_spread(tmp_path):
     ["fit", "--dmu", "0.1", "--sigma", "0"],
     ["fit", "--dmu", "0.1", "--sigma", "-0.4"],
     ["fit", "--dmu", "-0.1", "--sigma", "0.418"],
+    ["fit", "--dmu", "0.1", "--sigma", "1e-300"],
+    ["fit", "--dmu", "1e-156", "--sigma", "1e-155"],
+    ["fit", "--dmu", "1e299", "--sigma", "1e300"],
+    ["fit", "--dmu", "0.1", "--sigma", "0.418", "--window", "-1", "inf"],
 ])
 def test_fit_command_rejects_bad_params(argv, capsys):
     assert main(argv) == 2

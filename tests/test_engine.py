@@ -22,6 +22,7 @@ from it2fuzz import (
     default_rulebase,
 )
 from it2fuzz.cli import build_engine, lcg_probes
+from it2fuzz.engine import _row_fsum
 
 from helpers import collapsed_rulebase, split_rulebase
 from oracles import (DEMO_CONSEQUENTS, GC_CORNER, NT_CORNER, SPLIT_ORIGIN,
@@ -294,3 +295,76 @@ def test_infer_batch_empty_and_wrong_shape():
     for bad in (np.zeros((3, 1)), np.zeros((3, 3)), np.zeros(2), np.zeros((1, 2, 1))):
         with pytest.raises(ValueError, match="expected an"):
             engine.infer_batch(bad)
+
+
+# -- row sums ----------------------------------------------------------------
+
+def fsum_or_error(row):
+    try:
+        return math.fsum(row).hex()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def assert_rows_match_fsum(m):
+    """``_row_fsum`` equals ``math.fsum`` per row by ``float.hex``, or raises as it."""
+    m = np.asarray(m, dtype=float)
+    want = [fsum_or_error(row) for row in m.tolist()]
+    errors = [w for w in want if isinstance(w, type)]
+    if errors:
+        with pytest.raises(errors[0]):
+            _row_fsum(m)
+        return
+    got = _row_fsum(m)
+    assert got.shape == (len(m),) and got.dtype == np.float64
+    assert [v.hex() for v in got.tolist()] == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda r: st.lists(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=r, max_size=r),
+    min_size=1, max_size=6)))
+def test_row_fsum_matches_fsum_on_any_finite_rows(rows):
+    assert_rows_match_fsum(rows)
+
+
+def test_row_fsum_matches_fsum_on_random_matrices():
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        n, r = rng.integers(1, 80), rng.integers(1, 130)
+        m = (10.0 ** rng.uniform(-20, 1, (n, r))) * rng.choice([-1.0, 1.0], (n, r))
+        assert_rows_match_fsum(m)
+        # Each row followed by its own negation, less a little: heavy cancellation.
+        assert_rows_match_fsum(np.hstack((m, -m * (1 + 2.0 ** -40))))
+
+
+@pytest.mark.parametrize("row", [
+    [1.0, 2.0 ** -53, 2.0 ** -105],
+    [1.0, 2.0 ** -53, -(2.0 ** -105)],
+    [1.0, 2.0 ** -53],
+    [1.0, -(2.0 ** -54), 2.0 ** -107],
+    [1.0, -(2.0 ** -54), -(2.0 ** -107)],
+    [2.0 ** -53, 1.0, 2.0 ** -105, 2.0 ** -200, -(2.0 ** -200)],
+    [1e16, 1.0, -1e16, 2.0 ** -60],
+    [0.1, 0.2, -0.3],
+    [0.5, -0.25, -0.25],
+    [1e300, 1e-300, -1e300],
+    [-0.0, -0.0, -0.0],
+    [0.0, -0.0],
+    [5e-324, -5e-324, 5e-324],
+    [2.0 ** -1022, -(2.0 ** -1074)],
+    [math.nan, 1.0, 2.0],
+    [math.inf, 1.0],
+    [-math.inf, -math.inf],
+    [1e308, 1e308, -1e308, 0.0],
+    [math.inf, -math.inf],
+])
+def test_row_fsum_matches_fsum_on_ties_cancellation_and_specials(row):
+    assert_rows_match_fsum([row])
+    assert_rows_match_fsum([row, [0.25] * len(row), row[::-1]])
+
+
+def test_row_fsum_single_column_and_empty_shapes():
+    assert_rows_match_fsum([[v] for v in (1.0, -0.0, 0.0, 5e-324, -3.5, 1e308)])
+    assert _row_fsum(np.empty((0, 4))).shape == (0,)
+    assert _row_fsum(np.empty((3, 0))).tolist() == [0.0, 0.0, 0.0]

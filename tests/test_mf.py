@@ -220,6 +220,8 @@ def test_fit_window_validation():
         fit_bounds(m, window=(1.0, -1.0))
     with pytest.raises(ValueError):
         fit_bounds(m, samples=50)
+    with pytest.raises(ValueError, match="must be finite"):
+        fit_bounds(m, window=(-1.0, math.inf))
 
 
 def test_fit_budget_exhaustion_raises():

@@ -1,0 +1,141 @@
+#!/usr/bin/env python3
+"""Check that the working tree's outputs equal a parent commit's, bit for bit.
+
+    python3 tools/bitwise_vs_parent.py --parent <ref>
+
+Run it from anywhere inside the repository.  The parent side is
+``git archive <ref>`` unpacked into a temporary directory; the change
+side is this working tree.  Each side runs ``dump()`` in its own Python
+process with that tree's ``src``, ``perfbench`` and ``tests`` helpers
+first on the path, and prints one sha1 per key:
+
+* ``surface/...``: the bytes of ``generate_surface`` CSVs over perfbench's
+  split surface rule base for seeds 1, 2, 3 and 7919 at grids 17 and 41
+  with all six closed-form tokens, the demo with its four closed-form
+  tokens and ``gc-ref``, and the collapsed base with both exact tokens;
+* ``trace/...``: pendulum trace CSV bytes for the six closed-form tokens
+  (split tokens on the split demo) from starts that include ``-0.0``;
+* ``fire/...``, ``infer/...``, ``infer_batch/...``: ``float.hex`` of every
+  result on ``lcg_probes(2000)``, signed zeros, infinities and NaN.
+
+It prints the keys that differ, or that only one side has, and exits 1
+if there are any, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import math
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CLOSED_TOKENS = ("gc-closed", "gc-closed-split", "nt-closed",
+                 "gc-closed-exact", "gc-closed-split-exact", "nt-closed-exact")
+SURFACE_SEEDS = (1, 2, 3, 7919)
+TRACE_STARTS = ((0.1, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, 0.4), (-0.25, -0.3))
+SPECIAL_POINTS = ((0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (30.0, -30.0),
+                  (math.inf, 0.2), (-0.4, -math.inf), (math.nan, 0.1), (0.3, math.nan))
+
+
+def _sha1(data: str | bytes) -> str:
+    return hashlib.sha1(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def dump() -> dict[str, str]:
+    """Keyed sha1s of this process's ``it2fuzz`` outputs (see the module doc)."""
+    import numpy as np
+    from helpers import collapsed_rulebase, split_rulebase
+    from it2fuzz import cli, pendulum
+    from it2fuzz.rulebase import default_rulebase
+    from perfbench.workloads import SurfaceWorkload
+
+    demo = default_rulebase()
+    bases = {"demo": demo, "split": split_rulebase(demo), "collapsed": collapsed_rulebase()}
+    out: dict[str, str] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for seed in SURFACE_SEEDS:
+            work = SurfaceWorkload(seed, tmp)
+            for grid in (17, 41):
+                for radius in (work.make_input(0), 1.0):
+                    spec = cli.SurfaceSpec(grid, (-radius, radius), CLOSED_TOKENS)
+                    out[f"surface/perfbench-{seed}/{grid}/{radius!r}"] = _sha1(
+                        "\n".join(cli.generate_surface(work.rb, spec)))
+        for grid in (5, 41):
+            demo_tokens = [t for t in CLOSED_TOKENS if "split" not in t]
+            if grid == 5:
+                demo_tokens.append("gc-ref")
+            spec = cli.SurfaceSpec(grid, engines=tuple(demo_tokens))
+            out[f"surface/demo/{grid}"] = _sha1("\n".join(cli.generate_surface(demo, spec)))
+            spec = cli.SurfaceSpec(grid, engines=("gc-closed-exact", "nt-closed-exact"))
+            out[f"surface/collapsed/{grid}"] = _sha1(
+                "\n".join(cli.generate_surface(bases["collapsed"], spec)))
+
+        csv = tmp / "trace.csv"
+        for token in CLOSED_TOKENS:
+            engine = cli.build_engine(bases["split" if "split" in token else "demo"], token)
+            for angle, velocity in TRACE_STARTS:
+                trace = pendulum.simulate(engine, pendulum.LoopConfig(
+                    initial_angle=angle, initial_velocity=velocity))
+                pendulum.write_trace_csv(trace, csv)
+                out[f"trace/{token}/{angle!r},{velocity!r}"] = _sha1(csv.read_bytes())
+
+    points = cli.lcg_probes(2000) + list(SPECIAL_POINTS)
+    for base, rb in bases.items():
+        tokens = [t for t in CLOSED_TOKENS if base == "split" or "split" not in t]
+        if base == "collapsed":
+            tokens = [t for t in tokens if t.endswith("-exact")]
+        for token in tokens:
+            engine = cli.build_engine(rb, token)
+            fire = [v.hex() for x in points for f in engine.fire(x) for v in f]
+            infer = [f"{r.value.hex()}:{r.degenerate}" for r in map(engine.infer, points)]
+            values, degenerate = engine.infer_batch(np.array(points))
+            batch = [f"{v.hex()}:{d}" for v, d in zip(values.tolist(), degenerate.tolist())]
+            out[f"fire/{base}/{token}"] = _sha1(",".join(fire))
+            out[f"infer/{base}/{token}"] = _sha1(",".join(infer))
+            out[f"infer_batch/{base}/{token}"] = _sha1(",".join(batch))
+    return out
+
+
+def run_dump(tree: Path) -> dict[str, str]:
+    """``dump()`` in a fresh interpreter that imports from ``tree``."""
+    paths = [str(tree / "src"), str(tree), str(tree / "tests"), str(ROOT / "tools")]
+    code = (f"import json, sys; sys.path[:0] = {paths!r}; import bitwise_vs_parent; "
+            "print(json.dumps(bitwise_vs_parent.dump()))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tree, check=True,
+                          capture_output=True, text=True)
+    return json.loads(proc.stdout)
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", required=True, help="git ref of the parent side")
+    args = p.parse_args(argv)
+    sha = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tempfile.TemporaryDirectory(prefix="bitwise-") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        parent = run_dump(Path(tmp))
+    change = run_dump(ROOT)
+    differ = sorted(k for k in parent.keys() | change.keys()
+                    if parent.get(k) != change.get(k))
+    for key in differ:
+        print(f"differs: {key}  parent {parent.get(key)}  change {change.get(key)}")
+    print(f"{len(parent.keys() | change.keys())} keys against {args.parent} ({sha[:12]}): "
+          f"{len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
