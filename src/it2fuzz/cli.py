@@ -4,8 +4,9 @@ Engine modes are named ``gc-closed``, ``gc-closed-split``, ``nt-closed``,
 ``gc-ref``, ``nt-ref``, each optionally suffixed ``-exact`` or ``-fitted``
 to pick the membership bound source (fitted is the default).
 
-Exit codes: 0 success, 2 validation or argument problems, 3 numeric
-failure (simulation blowup).  Relative output paths are resolved against
+Exit codes: 0 success, 2 validation or argument problems (a run or fit
+too large to allocate among them), 3 numeric failure (simulation
+blowup).  Relative output paths are resolved against
 $IT2FUZZ_OUT_DIR when that variable is set.
 
 The bench probe stream is a fixed linear congruential generator,
@@ -342,6 +343,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (CliError, FileNotFoundError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # A size too large to allocate is an argument problem too.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -5,10 +5,27 @@ each inference in three short steps: per-input membership bounds,
 per-rule firing intervals (product t-norm), and a single weighted-average
 formula that goes straight from firing intervals to a crisp output.  No
 output-domain discretization is involved; the discretized counterparts
-live in the reference module.  The engine flattens the partitions into
-one table row per (input, set) and stores each rule's antecedent as row
-indices into it, so a call fills two flat lists of bounds and each rule's
-product reads them left to right.
+live in the reference module.
+
+The engine flattens the partitions into one table row per (input, set)
+and reads each rule's antecedent as row indices into it.  On the first
+``infer`` or ``fire`` call it compiles a straight-line kernel for that
+layout: one line per table row's bounds, one product per rule read left
+to right, and the form's sums through ``math.fsum`` over tuples.  These
+are the float operations, in the same order, of the plain loop kept in
+``tests/oracles.py``, so the results agree bit for bit; without the loop's
+list appends, index loops and generators an inference costs about half.
+
+* The build is lazy: engines that only run ``infer_batch`` (every surface
+  export) never pay for it.
+* The source text holds only integer indices and fixed names.  Every
+  Gaussian parameter, exact-bound callable and consequent is a global of
+  the kernel that the engine binds by name, never text, so no rule-file
+  value can become code.
+* Hence the compiled code depends only on the structure (sets per input,
+  antecedents, form, bound source) and sits in a bounded
+  ``functools.lru_cache``; each engine runs that shared code with
+  ``exec`` in its own globals dict.
 
 ``EngineConfig.form`` picks one of three closed forms:
 
@@ -38,11 +55,11 @@ slot) also gives ``(0.0, degenerate=True)``.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,13 +112,18 @@ class InferenceResult(NamedTuple):
     degenerate: bool
 
 
+class _Kernel(NamedTuple):
+    infer: Callable[[Sequence[float]], InferenceResult]
+    fire: Callable[[Sequence[float]], list[FiringInterval]]
+
+
 class ClosedFormEngine:
     """A rule base bound to an engine config, exposing infer(x) and fire(x).
 
     Construction validates everything once (rule base, split consequents
     for the split form, attached fitted bounds for the fitted source), so
-    the per-call path skips revalidation and evaluates the fitted
-    Gaussians inline.
+    the compiled per-call kernel skips revalidation and evaluates the
+    fitted Gaussians inline.
     """
 
     def __init__(self, rb: RuleBase, cfg: EngineConfig | None = None):
@@ -118,96 +140,51 @@ class ClosedFormEngine:
         self.rb = rb
         self.cfg = cfg
         self._n_inputs = rb.n_inputs
+        self._fitted = fitted
         self._ante = tuple(r.antecedent for r in rb.rules)
         self._cons = tuple(r.consequent for r in rb.rules)
         if rb.is_split:
             self._cons_u = tuple(r.consequent_upper for r in rb.rules)
             self._cons_l = tuple(r.consequent_lower for r in rb.rules)
-        # One row per (input, set), inputs in order: the input index and
-        # the fitted parameters for inline evaluation, or the exact bound
-        # methods (branchy, left as calls).  Each rule's antecedent becomes
-        # row indices into that table.
-        if fitted:
-            self._params = tuple(
-                (i, s.fitted_umf.mean, s.fitted_umf.sigma, s.fitted_umf.scale,
-                 s.fitted_lmf.mean, s.fitted_lmf.sigma, s.fitted_lmf.scale)
-                for i, p in enumerate(rb.partitions) for s in p.sets
-            )
-        else:
-            self._params = None
-            self._exact = tuple(
-                (i, s.umf, s.lmf) for i, p in enumerate(rb.partitions) for s in p.sets
-            )
-        offsets = tuple(itertools.accumulate(rb.shape[:-1], initial=0))
-        self._rows = tuple(tuple(map(operator.add, offsets, ant)) for ant in self._ante)
 
-    def _firing(self, x: Sequence[float]) -> tuple[list[float], list[float]]:
-        """Per-rule upper and lower firing; lower <= upper always holds."""
-        if len(x) != self._n_inputs:
-            raise ValueError(f"expected {self._n_inputs} inputs, got {len(x)}")
-        if self._params is not None:
-            exp = math.exp
-            us: list[float] = []
-            ls: list[float] = []
-            for i, um, usg, usc, lm, lsg, lsc in self._params:
-                xi = x[i]
-                z = (xi - um) / usg
-                us.append(usc * exp(-0.5 * z * z))
-                z = (xi - lm) / lsg
-                ls.append(lsc * exp(-0.5 * z * z))
-        else:
-            us = [ub(x[i]) for i, ub, _ in self._exact]
-            ls = [lb(x[i]) for i, _, lb in self._exact]
-        ups: list[float] = []
-        los: list[float] = []
-        for rows in self._rows:
-            u = 1.0
-            l = 1.0
-            for k in rows:
-                u *= us[k]
-                l *= ls[k]
-            ups.append(u)
-            los.append(l)
-        return ups, los
+    @functools.cached_property
+    def _kernel(self) -> _Kernel:
+        """This engine's compiled ``infer`` and ``fire``, built on first use.
+
+        The code comes from the structure cache; this engine's values go
+        into the functions' globals under the names the source reads.
+        """
+        ns = {"exp": math.exp, "fsum": math.fsum, "new": tuple.__new__,
+              "IR": InferenceResult, "FI": FiringInterval, "EPS": DEGENERATE_EPSILON,
+              "NOFIRE": InferenceResult(0.0, True)}
+        sets = [s for p in self.rb.partitions for s in p.sets]
+        for k, s in enumerate(sets):
+            if self._fitted:
+                u, l = s.fitted_umf, s.fitted_lmf
+                ns.update({f"um{k}": u.mean, f"usg{k}": u.sigma, f"usc{k}": u.scale,
+                           f"lm{k}": l.mean, f"lsg{k}": l.sigma, f"lsc{k}": l.scale})
+            else:
+                ns.update({f"ub{k}": s.umf, f"lb{k}": s.lmf})
+        ns.update((f"c{r}", c) for r, c in enumerate(self._cons))
+        if self.cfg.form is Form.GC_CLOSED_SPLIT:
+            ns.update((f"cu{r}", c) for r, c in enumerate(self._cons_u))
+            ns.update((f"cl{r}", c) for r, c in enumerate(self._cons_l))
+        exec(_kernel_code(self.rb.shape, self._ante, self.cfg.form, self._fitted), ns)
+        return _Kernel(ns["infer"], ns["fire"])
+
+    def __getstate__(self) -> dict:
+        # The kernel's functions cannot be pickled; a copy rebuilds its own.
+        state = self.__dict__.copy()
+        state.pop("_kernel", None)
+        return state
 
     def fire(self, x: Sequence[float]) -> list[FiringInterval]:
         """Per-rule firing intervals at input vector x, in rule order."""
-        ups, los = self._firing(x)
-        return [FiringInterval(l, u) for u, l in zip(ups, los)]
+        return self._kernel.fire(x)
 
     def infer(self, x: Sequence[float]) -> InferenceResult:
         """Crisp output of the configured closed form at input vector x."""
-        ups, los = self._firing(x)
-        eps = DEGENERATE_EPSILON
-        form = self.cfg.form
-        # A NaN input makes every sum below NaN, and NaN fails every
-        # comparison: each test is written so that it lands in the
-        # flagged branch without costing finite inputs anything.
-        if form is Form.NT_CLOSED:
-            sums = [u + l for u, l in zip(ups, los)]
-            den = math.fsum(sums)
-            if not den > eps:
-                return InferenceResult(0.0, True)
-            return InferenceResult(
-                math.fsum(c * s for c, s in zip(self._cons, sums)) / den, False
-            )
-        diffs = [u - l for u, l in zip(ups, los)]
-        den = math.fsum(diffs)
-        if not den >= eps:
-            cons = self._cons_u if form is Form.GC_CLOSED_SPLIT else self._cons
-            uden = math.fsum(ups)
-            if not uden > eps:
-                return InferenceResult(0.0, True)
-            return InferenceResult(
-                math.fsum(c * u for c, u in zip(cons, ups)) / uden, True
-            )
-        if form is Form.GC_CLOSED_SPLIT:
-            terms = [c * u for c, u in zip(self._cons_u, ups)]
-            terms.extend(-c * l for c, l in zip(self._cons_l, los))
-            return InferenceResult(math.fsum(terms) / den, False)
-        return InferenceResult(
-            math.fsum(c * d for c, d in zip(self._cons, diffs)) / den, False
-        )
+        return self._kernel.infer(x)
 
     def infer_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
         """``infer`` over the rows of an (N, n_inputs) array, bit for bit.
@@ -265,12 +242,12 @@ class ClosedFormEngine:
         return values, degenerate
 
     def _firing_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(N, n_rules) upper and lower firing, equal to ``_firing`` row by row."""
-        fitted = self._params is not None
+        """(N, n_rules) upper and lower firing, equal to ``fire`` row by row."""
+        fitted = self._fitted
         ups = los = None
         ante_cols = np.array(self._ante, dtype=np.intp).reshape(-1, self._n_inputs).T
         for part, col, ante in zip(self.rb.partitions, X.T, ante_cols):
-            # ScaledGaussian.__call__ is the expression _firing inlines.
+            # ScaledGaussian.__call__ is the expression the kernel inlines.
             sets = [(s.fitted_umf, s.fitted_lmf) if fitted else (s.umf, s.lmf)
                     for s in part.sets]
             # Distinct by bit pattern, so -0.0 and each NaN keep their own entry.
@@ -281,10 +258,79 @@ class ClosedFormEngine:
             lower = np.array([f(x) for x in xs for _, f in sets]).reshape(shape)
             u = upper[:, ante][inverse]
             l = lower[:, ante][inverse]
-            # Left to right as in _firing (whose leading 1.0 * is exact).
+            # Left to right as in the kernel's products.
             ups = u if ups is None else ups * u
             los = l if los is None else los * l
         return ups, los
+
+
+@functools.lru_cache(maxsize=64)
+def _kernel_code(shape: tuple[int, ...], ante: tuple[tuple[int, ...], ...],
+                 form: Form, fitted: bool):
+    """The compiled ``infer`` and ``fire`` of one rule-base structure.
+
+    ``shape`` is the number of sets per input and ``ante`` each rule's
+    antecedent.  The source text is made of integer indices and fixed
+    names only: the Gaussian parameters (``um<k>``, ``usg<k>``, ...), the
+    exact-bound callables (``ub<k>``, ``lb<k>``) and the consequents
+    (``c<r>``, ``cu<r>``, ``cl<r>``) are globals that each engine binds,
+    so engines of one structure share this code object.
+    """
+    n = len(shape)
+    # One table row k per (input, set), inputs in order; each rule reads
+    # its bounds by row index.
+    table = [i for i, m in enumerate(shape) for _ in range(m)]
+    offsets = tuple(itertools.accumulate(shape[:-1], initial=0))
+    rows = [[int(o + a) for o, a in zip(offsets, ant)] for ant in ante]
+    rules = range(len(rows))
+    head = [f"if len(x) != {n}:",
+            f"    raise ValueError(f'expected {n} inputs, got {{len(x)}}')",
+            "".join(f"x{i}, " for i in range(n)) + "= x"]
+    if fitted:
+        for k, i in enumerate(table):
+            head += [f"z = (x{i} - um{k}) / usg{k}",
+                     f"mu{k} = usc{k} * exp(-0.5 * z * z)",
+                     f"z = (x{i} - lm{k}) / lsg{k}",
+                     f"ml{k} = lsc{k} * exp(-0.5 * z * z)"]
+    else:
+        head += [f"mu{k} = ub{k}(x{i})" for k, i in enumerate(table)]
+        head += [f"ml{k} = lb{k}(x{i})" for k, i in enumerate(table)]
+    # Products left to right (a loop's ``u *= us[k]`` from 1.0, whose
+    # leading ``1.0 *`` is exact).
+    for r, row in enumerate(rows):
+        head += [f"u{r} = " + " * ".join(f"mu{k}" for k in row),
+                 f"l{r} = " + " * ".join(f"ml{k}" for k in row)]
+
+    def tup(*fmts: str) -> str:
+        """A tuple display of each format filled in for every rule r."""
+        return "(" + "".join(f.format(r=r) + ", " for f in fmts for r in rules) + ")"
+
+    # A NaN input makes every sum NaN, and NaN fails every comparison:
+    # each test is written so that it lands in the flagged branch.
+    if form is Form.NT_CLOSED:
+        body = [f"s{r} = u{r} + l{r}" for r in rules]
+        body += [f"den = fsum({tup('s{r}')})",
+                 "if not den > EPS:",
+                 "    return NOFIRE",
+                 f"return new(IR, (fsum({tup('c{r} * s{r}')}) / den, False))"]
+    else:
+        split = form is Form.GC_CLOSED_SPLIT
+        body = [f"d{r} = u{r} - l{r}" for r in rules]
+        terms = tup("cu{r} * u{r}", "-cl{r} * l{r}") if split else tup("c{r} * d{r}")
+        # A collapsed band falls back to the upper-firing average.
+        body += [f"den = fsum({tup('d{r}')})",
+                 "if not den >= EPS:",
+                 f"    uden = fsum({tup('u{r}')})",
+                 "    if not uden > EPS:",
+                 "        return NOFIRE",
+                 f"    return new(IR, (fsum({tup('cu{r} * u{r}' if split else 'c{r} * u{r}')})"
+                 " / uden, True))",
+                 f"return new(IR, (fsum({terms}) / den, False))"]
+    fire = f"return [{', '.join(f'new(FI, (l{r}, u{r}))' for r in rules)}]"
+    source = "\n".join(
+        ["def infer(x):"] + [f"    {line}" for line in head + body]
+        + ["def fire(x):"] + [f"    {line}" for line in head + [fire]])
+    return compile(source, "<it2fuzz kernel>", "exec")
 
 
 def _row_fsum(m: np.ndarray) -> np.ndarray:

@@ -202,6 +202,11 @@ def settle_time(trace: SimTrace) -> float | None:
     return float(trace.times[idx[-1] + 1])
 
 
+# One trace CSV row: the seven float columns at 17 significant digits,
+# then the degenerate flag as 0 or 1.
+_TRACE_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
+
+
 def write_trace_csv(trace: SimTrace, path: str | Path) -> None:
     """Write the trace with a fixed header at 17 significant digits."""
     # Whole columns convert to Python numbers at once, and the rows are
@@ -212,5 +217,4 @@ def write_trace_csv(trace: SimTrace, path: str | Path) -> None:
                trace.controller_outputs.tolist(), trace.degenerate_flags.astype(int).tolist())
     with open(path, "w") as fh:
         fh.write("t,angle,angular_velocity,force,x1,x2,u,degenerate\n")
-        fh.writelines(f"{t:.17g},{a:.17g},{w:.17g},{f:.17g},{x1:.17g},{x2:.17g},{u:.17g},{d}\n"
-                      for t, a, w, f, x1, x2, u, d in zip(*columns))
+        fh.writelines(map(_TRACE_ROW.__mod__, zip(*columns)))

@@ -1,6 +1,10 @@
 """Builders shared across test modules."""
 
-from it2fuzz import IT2Gaussian, InferenceResult, Partition, Rule, RuleBase
+import itertools
+
+import numpy as np
+
+from it2fuzz import IT2Gaussian, InferenceResult, Partition, Rule, RuleBase, ScaledGaussian
 
 from oracles import DEMO_CONSEQUENTS
 
@@ -35,6 +39,35 @@ def split_rulebase(rb: RuleBase, offset: float = 0.1) -> RuleBase:
                        r.consequent + offset, r.consequent - offset)
                   for r in rb.rules)
     return RuleBase(rb.partitions, rules)
+
+
+def uneven_partition(centers) -> Partition:
+    """Sets alternating uncertain mean and uncertain sigma, fitted by hand."""
+    sets = []
+    for k, c in enumerate(centers):
+        s = (IT2Gaussian.uncertain_mean(c - 0.1, c + 0.1, 0.3) if k % 2 == 0
+             else IT2Gaussian.uncertain_sigma(c, 0.2, 0.35))
+        sets.append(s.with_fitted(ScaledGaussian(c, 0.4, 1.0),
+                                  ScaledGaussian(c, 0.25, 0.9 - 0.05 * k)))
+    return Partition((-1.0, 1.0), tuple(sets))
+
+
+def uneven_rulebase() -> RuleBase:
+    """Three inputs with 2, 3 and 4 sets; rules out of row-major order."""
+    parts = (uneven_partition((-0.5, 0.5)), uneven_partition((-0.8, 0.0, 0.8)),
+             uneven_partition((-0.9, -0.3, 0.3, 0.9)))
+    combos = sorted(itertools.product(range(2), range(3), range(4)),
+                    key=lambda a: (a[2], -a[1], a[0]))
+    rules = tuple(Rule(a, b, b + 0.1, b - 0.2)
+                  for a, b in zip(combos, np.linspace(-1.0, 1.0, len(combos)).tolist()))
+    return RuleBase(parts, rules)
+
+
+def one_input_rulebase(centers=(-0.7, -0.2, 0.3, 0.8)) -> RuleBase:
+    """One input with four sets, split consequents, rules in reverse order."""
+    rules = tuple(Rule((k,), 0.5 - 0.4 * k, 0.6 - 0.4 * k, 0.3 - 0.4 * k)
+                  for k in reversed(range(len(centers))))
+    return RuleBase((uneven_partition(centers),), rules)
 
 
 class ConstantEngine:

@@ -8,6 +8,7 @@ evidence rather than tautology. Frozen constants at the bottom were produced
 by these oracles and by prior library runs; regressions diff against them.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -70,6 +71,71 @@ def t1_center_average(x1, x2, sigma, centers=DEMO_CENTERS,
             den += f
             k += 1
     return num / den
+
+
+# Loop reference for ClosedFormEngine's compiled straight-line kernel, which
+# must equal it bit for bit: one table row per (input, set), each rule's
+# product read left to right from 1.0, every sum through math.fsum.
+DEGENERATE_EPSILON = 1e-12
+
+
+def loop_firing(rb, fitted, x):
+    """Per-rule (upper, lower) firing lists at input vector x."""
+    if len(x) != rb.n_inputs:
+        raise ValueError(f"expected {rb.n_inputs} inputs, got {len(x)}")
+    table = [(i, s) for i, p in enumerate(rb.partitions) for s in p.sets]
+    if fitted:
+        us, ls = [], []
+        for i, s in table:
+            for g, out in ((s.fitted_umf, us), (s.fitted_lmf, ls)):
+                z = (x[i] - g.mean) / g.sigma
+                out.append(g.scale * math.exp(-0.5 * z * z))
+    else:
+        us = [s.umf(x[i]) for i, s in table]
+        ls = [s.lmf(x[i]) for i, s in table]
+    offsets = list(itertools.accumulate(rb.shape[:-1], initial=0))
+    ups, los = [], []
+    for rule in rb.rules:
+        u = l = 1.0
+        for o, a in zip(offsets, rule.antecedent):
+            u *= us[o + a]
+            l *= ls[o + a]
+        ups.append(u)
+        los.append(l)
+    return ups, los
+
+
+def loop_fire(rb, fitted, x):
+    """Per-rule (lower, upper) firing intervals, in rule order."""
+    ups, los = loop_firing(rb, fitted, x)
+    return list(zip(los, ups))
+
+
+def loop_infer(rb, form, fitted, x):
+    """(value, degenerate) of form 'gc-closed', 'gc-closed-split' or 'nt-closed'."""
+    ups, los = loop_firing(rb, fitted, x)
+    eps = DEGENERATE_EPSILON
+    cons = [r.consequent for r in rb.rules]
+    if form == "nt-closed":
+        sums = [u + l for u, l in zip(ups, los)]
+        den = math.fsum(sums)
+        if not den > eps:
+            return 0.0, True
+        return math.fsum(c * s for c, s in zip(cons, sums)) / den, False
+    split = form == "gc-closed-split"
+    cons_u = [r.consequent_upper for r in rb.rules] if split else cons
+    diffs = [u - l for u, l in zip(ups, los)]
+    den = math.fsum(diffs)
+    if not den >= eps:
+        uden = math.fsum(ups)
+        if not uden > eps:
+            return 0.0, True
+        return math.fsum(c * u for c, u in zip(cons_u, ups)) / uden, True
+    if split:
+        terms = [c * u for c, u in zip(cons_u, ups)]
+        terms.extend(-r.consequent_lower * l for r, l in zip(rb.rules, los))
+        return math.fsum(terms) / den, False
+    return math.fsum(c * d for c, d in zip(cons, diffs)) / den, False
 
 
 # Lattice fit oracle. Exhausts sigma in [0.05, 2.0] on a 1e-4 grid; for each

@@ -266,6 +266,21 @@ def test_fit_command_rejects_bad_params(argv, capsys):
     assert "must be" in capsys.readouterr().err
 
 
+# Each run asks for float64 arrays of `rows` entries, more than 2**60 bytes
+# each: past any 64-bit address space, so the allocation fails at once
+# whatever the machine's memory or overcommit policy.
+@pytest.mark.parametrize("argv, rows", [
+    (["pendulum", "--duration", "5e15", "--step", "0.01"], 5 * 10 ** 17 + 1),
+    (["fit", "--dmu", "0.1", "--sigma", "1", "--samples", str(2 * 10 ** 17)], 2 * 10 ** 17),
+], ids=["pendulum", "fit"])
+def test_oversize_allocation_exits_2(argv, rows, tmp_path, capsys):
+    assert 8 * rows > 2 ** 60
+    assert main(argv + ["--out", str(tmp_path / "big")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
 # -- bench -------------------------------------------------------------------
 
 def test_lcg_probes_match_documented_recurrence():

@@ -1,6 +1,5 @@
 """Closed-form inference: firing intervals, the three output forms, fallbacks."""
 
-import itertools
 import math
 
 import numpy as np
@@ -18,13 +17,12 @@ from it2fuzz import (
     Rule,
     RuleBase,
     RuleBaseInvalid,
-    ScaledGaussian,
     default_rulebase,
 )
 from it2fuzz.cli import build_engine, lcg_probes
 from it2fuzz.engine import _row_fsum
 
-from helpers import collapsed_rulebase, split_rulebase
+from helpers import collapsed_rulebase, split_rulebase, uneven_rulebase
 from oracles import (DEMO_CONSEQUENTS, GC_CORNER, NT_CORNER, SPLIT_ORIGIN,
                      demo_gc, demo_nt, t1_center_average)
 
@@ -198,28 +196,6 @@ def test_neighboring_grid_outputs_stay_close():
 
 CLOSED_TOKENS = ("gc-closed", "gc-closed-split", "nt-closed",
                  "gc-closed-exact", "gc-closed-split-exact", "nt-closed-exact")
-
-
-def _uneven_partition(centers):
-    """Sets alternating uncertain mean and uncertain sigma, fitted by hand."""
-    sets = []
-    for k, c in enumerate(centers):
-        s = (IT2Gaussian.uncertain_mean(c - 0.1, c + 0.1, 0.3) if k % 2 == 0
-             else IT2Gaussian.uncertain_sigma(c, 0.2, 0.35))
-        sets.append(s.with_fitted(ScaledGaussian(c, 0.4, 1.0),
-                                  ScaledGaussian(c, 0.25, 0.9 - 0.05 * k)))
-    return Partition((-1.0, 1.0), tuple(sets))
-
-
-def uneven_rulebase() -> RuleBase:
-    """Three inputs with 2, 3 and 4 sets; rules out of row-major order."""
-    parts = (_uneven_partition((-0.5, 0.5)), _uneven_partition((-0.8, 0.0, 0.8)),
-             _uneven_partition((-0.9, -0.3, 0.3, 0.9)))
-    combos = sorted(itertools.product(range(2), range(3), range(4)),
-                    key=lambda a: (a[2], -a[1], a[0]))
-    rules = tuple(Rule(a, b, b + 0.1, b - 0.2)
-                  for a, b in zip(combos, np.linspace(-1.0, 1.0, len(combos)).tolist()))
-    return RuleBase(parts, rules)
 
 
 UNEVEN_POINTS = ([(a, b, c) for a in (-1.0, -0.0, 0.37) for b in (-0.6, 0.0, 0.95)

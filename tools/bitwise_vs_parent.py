@@ -16,7 +16,10 @@ first on the path, and prints one sha1 per key:
 * ``trace/...``: pendulum trace CSV bytes for the six closed-form tokens
   (split tokens on the split demo) from starts that include ``-0.0``;
 * ``fire/...``, ``infer/...``, ``infer_batch/...``: ``float.hex`` of every
-  result on ``lcg_probes(2000)``, signed zeros, infinities and NaN.
+  result on ``lcg_probes(2000)``, signed zeros, infinities and NaN, for
+  the demo, split and collapsed bases and for a 3-input and a 1-input
+  base defined here (``extra_bases``), whose points are the same probes
+  widened to three inputs or cut to one.
 
 It prints the keys that differ, or that only one side has, and exits 1
 if there are any, 0 otherwise.
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import io
+import itertools
 import json
 import math
 import subprocess
@@ -47,6 +51,42 @@ SPECIAL_POINTS = ((0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (30.0, -30.0),
 
 def _sha1(data: str | bytes) -> str:
     return hashlib.sha1(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def _partition(centers):
+    """Sets alternating uncertain mean and uncertain sigma, fitted by hand."""
+    from it2fuzz import IT2Gaussian, Partition, ScaledGaussian
+
+    sets = []
+    for k, c in enumerate(centers):
+        s = (IT2Gaussian.uncertain_mean(c - 0.1, c + 0.1, 0.3) if k % 2 == 0
+             else IT2Gaussian.uncertain_sigma(c, 0.2, 0.35))
+        sets.append(s.with_fitted(ScaledGaussian(c, 0.4, 1.0),
+                                  ScaledGaussian(c, 0.25, 0.9 - 0.05 * k)))
+    return Partition((-1.0, 1.0), tuple(sets))
+
+
+def extra_bases(points):
+    """A 3-input (2, 3 and 4 sets) and a 1-input base, split consequents,
+    rules out of row-major order, each with ``points`` fitted to its arity.
+
+    Defined here rather than in the test helpers, which the parent tree
+    may not have.
+    """
+    from it2fuzz import Rule, RuleBase
+
+    combos = sorted(itertools.product(range(2), range(3), range(4)),
+                    key=lambda a: (a[2], -a[1], a[0]))
+    three = RuleBase(
+        (_partition((-0.5, 0.5)), _partition((-0.8, 0.0, 0.8)),
+         _partition((-0.9, -0.3, 0.3, 0.9))),
+        tuple(Rule(a, b, b + 0.1, b - 0.2)
+              for a, b in zip(combos, (k / 11.5 - 1.0 for k in range(24)))))
+    one = RuleBase((_partition((-0.7, -0.2, 0.3, 0.8)),),
+                   tuple(Rule((k,), 0.5 - 0.4 * k, 0.6 - 0.4 * k, 0.3 - 0.4 * k)
+                         for k in (3, 2, 1, 0)))
+    return {"three-input": (three, [(a, b, b - a) for a, b in points]),
+            "one-input": (one, [(a,) for x in points for a in x])}
 
 
 def dump() -> dict[str, str]:
@@ -89,15 +129,17 @@ def dump() -> dict[str, str]:
                 out[f"trace/{token}/{angle!r},{velocity!r}"] = _sha1(csv.read_bytes())
 
     points = cli.lcg_probes(2000) + list(SPECIAL_POINTS)
-    for base, rb in bases.items():
-        tokens = [t for t in CLOSED_TOKENS if base == "split" or "split" not in t]
+    cases = {base: (rb, points) for base, rb in bases.items()}
+    cases.update(extra_bases(points))
+    for base, (rb, xs) in cases.items():
+        tokens = [t for t in CLOSED_TOKENS if rb.is_split or "split" not in t]
         if base == "collapsed":
             tokens = [t for t in tokens if t.endswith("-exact")]
         for token in tokens:
             engine = cli.build_engine(rb, token)
-            fire = [v.hex() for x in points for f in engine.fire(x) for v in f]
-            infer = [f"{r.value.hex()}:{r.degenerate}" for r in map(engine.infer, points)]
-            values, degenerate = engine.infer_batch(np.array(points))
+            fire = [v.hex() for x in xs for f in engine.fire(x) for v in f]
+            infer = [f"{r.value.hex()}:{r.degenerate}" for r in map(engine.infer, xs)]
+            values, degenerate = engine.infer_batch(np.array(xs))
             batch = [f"{v.hex()}:{d}" for v, d in zip(values.tolist(), degenerate.tolist())]
             out[f"fire/{base}/{token}"] = _sha1(",".join(fire))
             out[f"infer/{base}/{token}"] = _sha1(",".join(infer))
