@@ -8,24 +8,24 @@ output-domain discretization is involved; the discretized counterparts
 live in the reference module.
 
 The engine flattens the partitions into one table row per (input, set)
-and reads each rule's antecedent as row indices into it.  On the first
-``infer`` or ``fire`` call it compiles a straight-line kernel for that
-layout: one line per table row's bounds, one product per rule read left
-to right, and the form's sums through ``math.fsum`` over tuples.  These
-are the float operations, in the same order, of the plain loop kept in
-``tests/oracles.py``, so the results agree bit for bit; without the loop's
-list appends, index loops and generators an inference costs about half.
+and reads each rule's antecedent as row indices into it.  On its first
+call, ``infer`` or ``fire`` compiles a straight-line function for that
+layout: one block per table row's bounds (mf's one formula), one product
+per rule read left to right, and the form's sums through ``math.fsum``
+over tuples.  These are the float operations, in the same order, of the
+plain loop kept in ``tests/oracles.py``, so the results agree bit for
+bit; without the loop's appends, index loops and generators an inference
+costs about half.
 
-* The build is lazy: engines that only run ``infer_batch`` (every surface
-  export) never pay for it.
-* The source text holds only integer indices and fixed names.  Every
-  Gaussian parameter, exact-bound callable and consequent is a global of
-  the kernel that the engine binds by name, never text, so no rule-file
-  value can become code.
-* Hence the compiled code depends only on the structure (sets per input,
-  antecedents, form, bound source) and sits in a bounded
-  ``functools.lru_cache``; each engine runs that shared code with
-  ``exec`` in its own globals dict.
+* The build is lazy and per function, and ``infer_batch`` (every surface
+  export) builds neither.
+* The source text holds only integer indices and fixed names; every bound
+  parameter and consequent is a number global that the engine binds by
+  name, so no rule-file value can become code.
+* Hence the code depends only on the structure (sets per input,
+  antecedents, form, and per table row whether its bounds have ``lo <
+  hi``) and sits in a bounded ``functools.lru_cache``; each engine runs it
+  with ``exec`` in its own globals dict.
 
 ``EngineConfig.form`` picks one of three closed forms:
 
@@ -63,6 +63,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .mf import lower_bound, upper_bound
 from .rulebase import RuleBase
 
 __all__ = [
@@ -112,18 +113,13 @@ class InferenceResult(NamedTuple):
     degenerate: bool
 
 
-class _Kernel(NamedTuple):
-    infer: Callable[[Sequence[float]], InferenceResult]
-    fire: Callable[[Sequence[float]], list[FiringInterval]]
-
-
 class ClosedFormEngine:
     """A rule base bound to an engine config, exposing infer(x) and fire(x).
 
     Construction validates everything once (rule base, split consequents
     for the split form, attached fitted bounds for the fitted source), so
-    the compiled per-call kernel skips revalidation and evaluates the
-    fitted Gaussians inline.
+    the compiled per-call kernel skips revalidation and evaluates every
+    bound inline.
     """
 
     def __init__(self, rb: RuleBase, cfg: EngineConfig | None = None):
@@ -147,44 +143,43 @@ class ClosedFormEngine:
             self._cons_u = tuple(r.consequent_upper for r in rb.rules)
             self._cons_l = tuple(r.consequent_lower for r in rb.rules)
 
-    @functools.cached_property
-    def _kernel(self) -> _Kernel:
-        """This engine's compiled ``infer`` and ``fire``, built on first use.
-
-        The code comes from the structure cache; this engine's values go
-        into the functions' globals under the names the source reads.
-        """
+    def _compiled(self, form: Form | None):
+        """This engine's ``infer`` of ``form``, or its ``fire`` if ``form`` is
+        None: the structure's cached code run in globals of this engine's numbers."""
         ns = {"exp": math.exp, "fsum": math.fsum, "new": tuple.__new__,
               "IR": InferenceResult, "FI": FiringInterval, "EPS": DEGENERATE_EPSILON,
               "NOFIRE": InferenceResult(0.0, True)}
-        sets = [s for p in self.rb.partitions for s in p.sets]
-        for k, s in enumerate(sets):
-            if self._fitted:
-                u, l = s.fitted_umf, s.fitted_lmf
-                ns.update({f"um{k}": u.mean, f"usg{k}": u.sigma, f"usc{k}": u.scale,
-                           f"lm{k}": l.mean, f"lsg{k}": l.sigma, f"lsc{k}": l.scale})
-            else:
-                ns.update({f"ub{k}": s.umf, f"lb{k}": s.lmf})
+        bounds = [s.bounds(self._fitted) for p in self.rb.partitions for s in p.sets]
+        for k, pair in enumerate(bounds):
+            for b, params in zip("ul", pair):
+                ns.update(zip((f"{b}m{k}", f"{b}h{k}", f"{b}sg{k}", f"{b}sc{k}"), params))
         ns.update((f"c{r}", c) for r, c in enumerate(self._cons))
-        if self.cfg.form is Form.GC_CLOSED_SPLIT:
+        if form is Form.GC_CLOSED_SPLIT:
             ns.update((f"cu{r}", c) for r, c in enumerate(self._cons_u))
             ns.update((f"cl{r}", c) for r, c in enumerate(self._cons_l))
-        exec(_kernel_code(self.rb.shape, self._ante, self.cfg.form, self._fitted), ns)
-        return _Kernel(ns["infer"], ns["fire"])
+        wide = tuple(u[0] < u[1] or l[0] < l[1] for u, l in bounds)
+        exec(_kernel_code(self.rb.shape, self._ante, wide, form), ns)
+        return ns["fire" if form is None else "infer"]
+
+    @functools.cached_property
+    def _infer(self) -> Callable[[Sequence[float]], InferenceResult]:
+        return self._compiled(self.cfg.form)
+
+    @functools.cached_property
+    def _fire(self) -> Callable[[Sequence[float]], list[FiringInterval]]:
+        return self._compiled(None)
 
     def __getstate__(self) -> dict:
-        # The kernel's functions cannot be pickled; a copy rebuilds its own.
-        state = self.__dict__.copy()
-        state.pop("_kernel", None)
-        return state
+        # Compiled functions cannot be pickled; a copy rebuilds its own.
+        return {k: v for k, v in self.__dict__.items() if k not in ("_infer", "_fire")}
 
     def fire(self, x: Sequence[float]) -> list[FiringInterval]:
         """Per-rule firing intervals at input vector x, in rule order."""
-        return self._kernel.fire(x)
+        return self._fire(x)
 
     def infer(self, x: Sequence[float]) -> InferenceResult:
         """Crisp output of the configured closed form at input vector x."""
-        return self._kernel.infer(x)
+        return self._infer(x)
 
     def infer_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
         """``infer`` over the rows of an (N, n_inputs) array, bit for bit.
@@ -192,7 +187,7 @@ class ClosedFormEngine:
         Returns ``(values, degenerate)``: a float array and a bool array of
         length N, equal to ``infer(row)``'s value and flag on every row.
         Each distinct value of each input column is put through the same
-        bound callables the per-call path uses, the per-rule products and
+        bound formula the per-call path uses, the per-rule products and
         the form's terms are elementwise numpy arithmetic in the per-call
         order, and every row sum equals ``math.fsum``'s (``_row_fsum``),
         with the per-call fallbacks, so no result depends on how rows are
@@ -243,38 +238,41 @@ class ClosedFormEngine:
 
     def _firing_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(N, n_rules) upper and lower firing, equal to ``fire`` row by row."""
-        fitted = self._fitted
         ups = los = None
         ante_cols = np.array(self._ante, dtype=np.intp).reshape(-1, self._n_inputs).T
         for part, col, ante in zip(self.rb.partitions, X.T, ante_cols):
-            # ScaledGaussian.__call__ is the expression the kernel inlines.
-            sets = [(s.fitted_umf, s.fitted_lmf) if fitted else (s.umf, s.lmf)
-                    for s in part.sets]
             # Distinct by bit pattern, so -0.0 and each NaN keep their own entry.
             keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
-            xs = keys.view(np.float64).tolist()
-            shape = (len(xs), len(sets))
-            upper = np.array([f(x) for x in xs for f, _ in sets]).reshape(shape)
-            lower = np.array([f(x) for x in xs for _, f in sets]).reshape(shape)
-            u = upper[:, ante][inverse]
-            l = lower[:, ante][inverse]
+            xs = keys.view(np.float64)[:, None]
+            # Rows lo, hi, sigma, scale; one column per set.
+            bounds = np.array([s.bounds(self._fitted) for s in part.sets])
+            upper, lower = bounds.transpose(1, 2, 0)
+            with np.errstate(over="ignore"):
+                mu = upper_bound(xs, *upper, exp=_exp)
+                ml = lower_bound(xs, *lower, exp=_exp)
+            u = mu[:, ante][inverse]
+            l = ml[:, ante][inverse]
             # Left to right as in the kernel's products.
             ups = u if ups is None else ups * u
             los = l if los is None else los * l
         return ups, los
 
 
+def _exp(a: np.ndarray) -> np.ndarray:
+    """``math.exp`` of each element: ``np.exp`` can differ in the last bit."""
+    return np.fromiter(map(math.exp, a.ravel().tolist()), float, a.size).reshape(a.shape)
+
+
 @functools.lru_cache(maxsize=64)
 def _kernel_code(shape: tuple[int, ...], ante: tuple[tuple[int, ...], ...],
-                 form: Form, fitted: bool):
-    """The compiled ``infer`` and ``fire`` of one rule-base structure.
-
-    ``shape`` is the number of sets per input and ``ante`` each rule's
-    antecedent.  The source text is made of integer indices and fixed
-    names only: the Gaussian parameters (``um<k>``, ``usg<k>``, ...), the
-    exact-bound callables (``ub<k>``, ``lb<k>``) and the consequents
-    (``c<r>``, ``cu<r>``, ``cl<r>``) are globals that each engine binds,
-    so engines of one structure share this code object.
+                 wide: tuple[bool, ...], form: Form | None):
+    """The compiled ``infer`` of ``form``, or ``fire`` if ``form`` is None,
+    for one rule-base structure: ``shape`` (sets per input), ``ante`` (each
+    rule's antecedent) and ``wide`` (whether each table row's bounds have
+    ``lo < hi``).  Row k's bound parameters (``um<k>``, ``uh<k>``, ``usg<k>``,
+    ``usc<k>``, ``lm<k>``, ...) and the consequents (``c<r>``, ``cu<r>``,
+    ``cl<r>``) are number globals that each engine binds, so engines of one
+    structure share this code object.
     """
     n = len(shape)
     # One table row k per (input, set), inputs in order; each rule reads
@@ -286,15 +284,18 @@ def _kernel_code(shape: tuple[int, ...], ante: tuple[tuple[int, ...], ...],
     head = [f"if len(x) != {n}:",
             f"    raise ValueError(f'expected {n} inputs, got {{len(x)}}')",
             "".join(f"x{i}, " for i in range(n)) + "= x"]
-    if fitted:
-        for k, i in enumerate(table):
-            head += [f"z = (x{i} - um{k}) / usg{k}",
-                     f"mu{k} = usc{k} * exp(-0.5 * z * z)",
-                     f"z = (x{i} - lm{k}) / lsg{k}",
-                     f"ml{k} = lsc{k} * exp(-0.5 * z * z)"]
-    else:
-        head += [f"mu{k} = ub{k}(x{i})" for k, i in enumerate(table)]
-        head += [f"ml{k} = lb{k}(x{i})" for k, i in enumerate(table)]
+    # mf's formula: the upper mean is x clamped into [um, uh] (min(max())
+    # without the calls), the lower mean the farther of lm and lh.
+    for k, i in enumerate(table):
+        if wide[k]:
+            zu = [f"z = (x{i} - (um{k} if x{i} < um{k} else uh{k} if x{i} > uh{k}"
+                  f" else x{i})) / usg{k}"]
+            zl = [f"zl = (x{i} - lm{k}) / lsg{k}", f"zh = (x{i} - lh{k}) / lsg{k}",
+                  "z = zl if zl * zl >= zh * zh else zh"]
+        else:
+            zu, zl = [f"z = (x{i} - um{k}) / usg{k}"], [f"z = (x{i} - lm{k}) / lsg{k}"]
+        head += [*zu, f"mu{k} = usc{k} * exp(-0.5 * z * z)",
+                 *zl, f"ml{k} = lsc{k} * exp(-0.5 * z * z)"]
     # Products left to right (a loop's ``u *= us[k]`` from 1.0, whose
     # leading ``1.0 *`` is exact).
     for r, row in enumerate(rows):
@@ -307,7 +308,9 @@ def _kernel_code(shape: tuple[int, ...], ante: tuple[tuple[int, ...], ...],
 
     # A NaN input makes every sum NaN, and NaN fails every comparison:
     # each test is written so that it lands in the flagged branch.
-    if form is Form.NT_CLOSED:
+    if form is None:
+        body = [f"return [{', '.join(f'new(FI, (l{r}, u{r}))' for r in rules)}]"]
+    elif form is Form.NT_CLOSED:
         body = [f"s{r} = u{r} + l{r}" for r in rules]
         body += [f"den = fsum({tup('s{r}')})",
                  "if not den > EPS:",
@@ -326,10 +329,8 @@ def _kernel_code(shape: tuple[int, ...], ante: tuple[tuple[int, ...], ...],
                  f"    return new(IR, (fsum({tup('cu{r} * u{r}' if split else 'c{r} * u{r}')})"
                  " / uden, True))",
                  f"return new(IR, (fsum({terms}) / den, False))"]
-    fire = f"return [{', '.join(f'new(FI, (l{r}, u{r}))' for r in rules)}]"
-    source = "\n".join(
-        ["def infer(x):"] + [f"    {line}" for line in head + body]
-        + ["def fire(x):"] + [f"    {line}" for line in head + [fire]])
+    name = "fire" if form is None else "infer"
+    source = "\n".join([f"def {name}(x):"] + [f"    {line}" for line in head + body])
     return compile(source, "<it2fuzz kernel>", "exec")
 
 

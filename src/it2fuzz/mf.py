@@ -2,19 +2,21 @@
 
 An interval type-2 fuzzy set is fully described by the band between its
 lower and upper membership functions (the footprint of uncertainty, FOU).
-Two FOU families are supported:
+Two FOU families are supported: uncertain mean, where the Gaussian center
+ranges over [mean_lo, mean_hi] at a fixed width, and uncertain sigma, where
+the center is fixed and the width ranges over [sigma_lo, sigma_hi].
 
-* uncertain mean: the Gaussian center ranges over [mean_lo, mean_hi] at a
-  fixed width.  The exact upper bound is flat-topped between the two
-  extreme means, and the exact lower bound is the pointwise minimum of
-  the two extreme Gaussians.
-* uncertain sigma: the center is fixed and the width ranges over
-  [sigma_lo, sigma_hi]; both exact bounds are plain Gaussians.
+Every bound is one formula, ``scale * exp(-z*z / 2)`` with ``z = (x - m) /
+sigma`` for a mean ``m`` in [lo, hi] (``IT2Gaussian.bounds``): the upper
+bound takes ``x`` clamped into it, a flat top between the extreme means;
+the lower the end farther from ``x``, the minimum of the edge Gaussians.
+Exact bounds have scale 1 and [lo, hi] = [mean_lo, mean_hi], so uncertain
+sigma is the case mean_lo == mean_hi; a fitted ``ScaledGaussian`` is the
+case lo == hi == mean.
 
 The exact uncertain-mean bounds are not Gaussian themselves, so
-``fit_bounds`` produces single scaled-Gaussian stand-ins by least squares.
-The closed-form inference engines can run on either the exact bounds or
-the fitted ones.
+``fit_bounds`` produces scaled-Gaussian stand-ins by least squares, which
+the closed-form engines can run on instead of the exact bounds.
 """
 
 from __future__ import annotations
@@ -129,55 +131,33 @@ class IT2Gaussian:
         """Half-width of the mean interval (zero for uncertain-sigma sets)."""
         return 0.5 * (self.mean_hi - self.mean_lo)
 
-    # -- exact bounds ----------------------------------------------------
+    def bounds(self, fitted: bool = False) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Upper and lower ``(lo, hi, sigma, scale)`` of the exact or the
+        attached fitted bounds (see the module doc)."""
+        if fitted:
+            u, l = self.fitted_umf, self.fitted_lmf
+            return (u.mean, u.mean, u.sigma, u.scale), (l.mean, l.mean, l.sigma, l.scale)
+        return ((self.mean_lo, self.mean_hi, self.sigma_hi, 1.0),
+                (self.mean_lo, self.mean_hi, self.sigma_lo, 1.0))
 
     def umf(self, x: float) -> float:
-        """Exact upper membership bound at a point."""
-        if self.kind == UNCERTAIN_SIGMA:
-            z = (x - self.mean_lo) / self.sigma_hi
-            return math.exp(-0.5 * z * z)
-        # NaN fails both tests and falls through to exp, which keeps it NaN.
-        if x < self.mean_lo:
-            z = (x - self.mean_lo) / self.sigma_hi
-        elif x <= self.mean_hi:
-            return 1.0
-        else:
-            z = (x - self.mean_hi) / self.sigma_hi
-        return math.exp(-0.5 * z * z)
+        """Exact upper membership bound at a point; a NaN x fails the clamp, stays NaN."""
+        lo, hi, sigma, scale = self.bounds()[0]
+        z = (x - min(max(x, lo), hi)) / sigma
+        return scale * math.exp(-0.5 * z * z)
 
     def lmf(self, x: float) -> float:
         """Exact lower membership bound at a point."""
-        if self.kind == UNCERTAIN_SIGMA:
-            z = (x - self.mean_lo) / self.sigma_lo
-            return math.exp(-0.5 * z * z)
-        zl = (x - self.mean_lo) / self.sigma_lo
-        zh = (x - self.mean_hi) / self.sigma_lo
-        return min(math.exp(-0.5 * zl * zl), math.exp(-0.5 * zh * zh))
+        lo, hi, sigma, scale = self.bounds()[1]
+        zl, zh = (x - lo) / sigma, (x - hi) / sigma
+        z = zl if zl * zl >= zh * zh else zh
+        return scale * math.exp(-0.5 * z * z)
 
     def umf_samples(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if self.kind == UNCERTAIN_SIGMA:
-            z = (xs - self.mean_lo) / self.sigma_hi
-            return np.exp(-0.5 * z * z)
-        zl = (xs - self.mean_lo) / self.sigma_hi
-        zh = (xs - self.mean_hi) / self.sigma_hi
-        out = np.ones_like(xs)
-        left = xs < self.mean_lo
-        right = ~(xs <= self.mean_hi)  # NaN included
-        out[left] = np.exp(-0.5 * zl[left] ** 2)
-        out[right] = np.exp(-0.5 * zh[right] ** 2)
-        return out
+        return upper_bound(np.asarray(xs, dtype=float), *self.bounds()[0])
 
     def lmf_samples(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if self.kind == UNCERTAIN_SIGMA:
-            z = (xs - self.mean_lo) / self.sigma_lo
-            return np.exp(-0.5 * z * z)
-        zl = (xs - self.mean_lo) / self.sigma_lo
-        zh = (xs - self.mean_hi) / self.sigma_lo
-        return np.minimum(np.exp(-0.5 * zl * zl), np.exp(-0.5 * zh * zh))
-
-    # -- fitted bounds ---------------------------------------------------
+        return lower_bound(np.asarray(xs, dtype=float), *self.bounds()[1])
 
     def with_fitted(self, umf: ScaledGaussian, lmf: ScaledGaussian) -> "IT2Gaussian":
         """Return a copy with the given fitted bounds attached."""
@@ -187,6 +167,20 @@ class IT2Gaussian:
         """Return a copy with bounds from a default ``fit_bounds`` attached."""
         umf, lmf = fit_bounds(self)
         return self.with_fitted(umf, lmf)
+
+
+def upper_bound(xs: np.ndarray, lo, hi, sigma, scale, exp=np.exp) -> np.ndarray:
+    """The upper bound at each of ``xs``; the parameters broadcast."""
+    z = (xs - np.clip(xs, lo, hi)) / sigma  # np.clip keeps NaN
+    return scale * exp(-0.5 * z * z)
+
+
+def lower_bound(xs: np.ndarray, lo, hi, sigma, scale, exp=np.exp) -> np.ndarray:
+    """The lower bound at each of ``xs``; the parameters broadcast."""
+    zl = (xs - lo) / sigma
+    zh = (xs - hi) / sigma
+    z = np.where(zl * zl >= zh * zh, zl, zh)
+    return scale * exp(-0.5 * z * z)
 
 
 def default_fit_window(m: IT2Gaussian) -> tuple[float, float]:
@@ -246,7 +240,8 @@ def fit_bounds(
     Returns (fitted_umf, fitted_lmf).  Raises FitDominanceViolated if the
     fitted lower bound pokes above the fitted upper bound anywhere on the
     sample grid, and NonConvergence if the parameter change fails to drop
-    below ``_PARAM_TOL`` within ``max_iter`` iterations.
+    below ``_PARAM_TOL`` (sigma's shrinks with ``sigma_lo`` under 1e-3)
+    within ``max_iter`` iterations.
     """
     if window is None:
         window = default_fit_window(m)
@@ -272,7 +267,9 @@ def fit_bounds(
     if not math.isfinite(hi_sq):
         raise ValueError(f"largest search sigma {sig_hi:.3g} must be below "
                          "~1.3e154, or its square overflows")
-    gs_tol = 1e-3 * _PARAM_TOL
+    # Scale-free: absolute sigma tolerances would stop narrow sets unfitted.
+    sigma_tol = _PARAM_TOL * min(1.0, 1e3 * m.sigma_lo)
+    gs_tol = 1e-3 * sigma_tol
 
     xs = np.linspace(lo, hi, int(samples))
     center = m.center
@@ -316,7 +313,7 @@ def fit_bounds(
     for _ in range(max_iter):
         new_sigma = best_sigma(scale, sigma, l_target)
         new_scale = opt_scale(new_sigma, l_target)
-        done = abs(new_scale - scale) <= _PARAM_TOL and abs(new_sigma - sigma) <= _PARAM_TOL
+        done = abs(new_scale - scale) <= _PARAM_TOL and abs(new_sigma - sigma) <= sigma_tol
         sigma, scale = new_sigma, new_scale
         if done:
             break

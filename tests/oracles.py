@@ -73,6 +73,61 @@ def t1_center_average(x1, x2, sigma, centers=DEMO_CENTERS,
     return num / den
 
 
+# The exact FOU bounds written per set kind, branch by branch, apart from
+# it2fuzz.mf's one formula for both kinds. ``m`` is an IT2Gaussian; only its
+# fields are read.
+def exact_umf(m, x):
+    """Exact upper bound at a point."""
+    if m.kind == "uncertain_sigma":
+        z = (x - m.mean_lo) / m.sigma_hi
+        return math.exp(-0.5 * z * z)
+    # NaN fails both tests and falls through to exp, which keeps it NaN.
+    if x < m.mean_lo:
+        z = (x - m.mean_lo) / m.sigma_hi
+    elif x <= m.mean_hi:
+        return 1.0
+    else:
+        z = (x - m.mean_hi) / m.sigma_hi
+    return math.exp(-0.5 * z * z)
+
+
+def exact_lmf(m, x):
+    """Exact lower bound at a point."""
+    if m.kind == "uncertain_sigma":
+        z = (x - m.mean_lo) / m.sigma_lo
+        return math.exp(-0.5 * z * z)
+    zl = (x - m.mean_lo) / m.sigma_lo
+    zh = (x - m.mean_hi) / m.sigma_lo
+    return min(math.exp(-0.5 * zl * zl), math.exp(-0.5 * zh * zh))
+
+
+def exact_umf_samples(m, xs):
+    """``exact_umf`` over an array, through ``np.exp``."""
+    xs = np.asarray(xs, dtype=float)
+    if m.kind == "uncertain_sigma":
+        z = (xs - m.mean_lo) / m.sigma_hi
+        return np.exp(-0.5 * z * z)
+    zl = (xs - m.mean_lo) / m.sigma_hi
+    zh = (xs - m.mean_hi) / m.sigma_hi
+    out = np.ones_like(xs)
+    left = xs < m.mean_lo
+    right = ~(xs <= m.mean_hi)  # NaN included
+    out[left] = np.exp(-0.5 * zl[left] ** 2)
+    out[right] = np.exp(-0.5 * zh[right] ** 2)
+    return out
+
+
+def exact_lmf_samples(m, xs):
+    """``exact_lmf`` over an array, through ``np.exp``."""
+    xs = np.asarray(xs, dtype=float)
+    if m.kind == "uncertain_sigma":
+        z = (xs - m.mean_lo) / m.sigma_lo
+        return np.exp(-0.5 * z * z)
+    zl = (xs - m.mean_lo) / m.sigma_lo
+    zh = (xs - m.mean_hi) / m.sigma_lo
+    return np.minimum(np.exp(-0.5 * zl * zl), np.exp(-0.5 * zh * zh))
+
+
 # Loop reference for ClosedFormEngine's compiled straight-line kernel, which
 # must equal it bit for bit: one table row per (input, set), each rule's
 # product read left to right from 1.0, every sum through math.fsum.
@@ -91,8 +146,8 @@ def loop_firing(rb, fitted, x):
                 z = (x[i] - g.mean) / g.sigma
                 out.append(g.scale * math.exp(-0.5 * z * z))
     else:
-        us = [s.umf(x[i]) for i, s in table]
-        ls = [s.lmf(x[i]) for i, s in table]
+        us = [exact_umf(s, x[i]) for i, s in table]
+        ls = [exact_lmf(s, x[i]) for i, s in table]
     offsets = list(itertools.accumulate(rb.shape[:-1], initial=0))
     ups, los = [], []
     for rule in rb.rules:

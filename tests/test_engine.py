@@ -23,6 +23,7 @@ from it2fuzz.cli import build_engine, lcg_probes
 from it2fuzz.engine import _row_fsum
 
 from helpers import collapsed_rulebase, split_rulebase, uneven_rulebase
+import oracles
 from oracles import (DEMO_CONSEQUENTS, GC_CORNER, NT_CORNER, SPLIT_ORIGIN,
                      demo_gc, demo_nt, t1_center_average)
 
@@ -218,8 +219,8 @@ def test_fire_on_uneven_rulebase_is_the_ordered_product(source):
                     u *= s.fitted_umf(xi)
                     l *= s.fitted_lmf(xi)
                 else:
-                    u *= s.umf(xi)
-                    l *= s.lmf(xi)
+                    u *= oracles.exact_umf(s, xi)
+                    l *= oracles.exact_lmf(s, xi)
             assert (f.upper.hex(), f.lower.hex()) == (u.hex(), l.hex()), (x, rule)
 
 

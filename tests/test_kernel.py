@@ -94,10 +94,14 @@ def test_engines_of_one_structure_share_code_not_values(token):
     assert a.infer(x) != b.infer(x)
     assert a.fire(x) != b.fire(x)
     for name in ("infer", "fire"):
-        code = getattr(a._kernel, name).__code__
-        assert code is getattr(b._kernel, name).__code__
+        code = getattr(a, f"_{name}").__code__
+        assert code is getattr(b, f"_{name}").__code__
         # No rule-base value is a literal of the shared code.
         assert {c for c in code.co_consts if isinstance(c, float)} <= {-0.5}
+        # Nor is any bound a callable: the engine binds numbers.
+        fn = getattr(a, f"_{name}")
+        called = {k for k, v in fn.__globals__.items() if callable(v) and v is not fn}
+        assert called <= {"exp", "fsum", "new", "IR", "FI"}
 
 
 @pytest.mark.parametrize("token", ("gc-closed", "nt-closed-exact"))
@@ -105,10 +109,20 @@ def test_engine_pickles_after_its_kernel_is_built(token):
     engine = build_engine(DEMO, token)
     x = (0.3, -0.7)
     want = engine.infer(x)
+    engine.fire(x)
     copy = pickle.loads(pickle.dumps(engine))
-    assert "_kernel" not in vars(copy)
+    assert not {"_infer", "_fire"} & vars(copy).keys()
     assert copy.infer(x) == want
     assert copy.fire(x) == engine.fire(x)
+
+
+def test_infer_and_fire_each_compile_on_their_own_first_call():
+    engine = build_engine(DEMO, "gc-closed")
+    engine.infer((0.3, -0.7))
+    assert "_infer" in vars(engine) and "_fire" not in vars(engine)
+    engine = build_engine(DEMO, "nt-closed-exact")
+    engine.fire((0.3, -0.7))
+    assert "_fire" in vars(engine) and "_infer" not in vars(engine)
 
 
 def test_oracle_epsilon_is_the_engine_epsilon():

@@ -14,7 +14,9 @@ from it2fuzz import (
     default_fit_window,
     fit_bounds,
 )
+from it2fuzz.cli import lcg_probes
 
+import oracles
 from oracles import (
     FIT_A,
     FIT_B,
@@ -114,6 +116,28 @@ def test_vectorized_bounds_match_scalar(m):
                        rtol=0.0, atol=1e-15)
 
 
+BOUND_SETS = (fou(0.1), IT2Gaussian.uncertain_mean(0.3, 0.55, 0.2), fou(0.0),
+              IT2Gaussian.uncertain_sigma(0.0, 0.3, 0.5),
+              IT2Gaussian.uncertain_sigma(-0.7, 0.25, 0.25),
+              IT2Gaussian.uncertain_sigma(0.6, 1e-3, 2.0))
+
+
+@pytest.mark.parametrize("m", BOUND_SETS)
+def test_exact_bounds_equal_the_kind_branched_oracle(m):
+    edges = (m.mean_lo, m.mean_hi)
+    xs = ([v for x in lcg_probes(10000) for v in x] + list(edges)
+          + [math.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)]
+          + [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300])
+    for got, want in ((m.umf, oracles.exact_umf), (m.lmf, oracles.exact_lmf)):
+        assert [got(x).hex() for x in xs] == [want(m, x).hex() for x in xs]
+    arr = np.array(xs)
+    with np.errstate(over="ignore"):
+        for got, want in ((m.umf_samples, oracles.exact_umf_samples),
+                          (m.lmf_samples, oracles.exact_lmf_samples)):
+            assert ([v.hex() for v in got(arr).tolist()]
+                    == [v.hex() for v in want(m, arr).tolist()])
+
+
 @settings(max_examples=200, deadline=None)
 @given(x=st.floats(-3.0, 3.0), spread=st.floats(0.0, 0.5), sigma=st.floats(0.05, 1.5))
 def test_lower_bound_never_exceeds_upper(x, spread, sigma):
@@ -210,6 +234,15 @@ def test_fit_degenerate_spread_returns_base_gaussian():
     assert u == l
     assert u.sigma == pytest.approx(0.418, abs=1e-9)
     assert u.scale == 1.0
+
+
+@pytest.mark.parametrize("sigma", [1e-10, 1e-13, 1e-100])
+def test_fit_is_scale_free_for_narrow_fous(sigma):
+    def ratios(s):
+        u, l = fit_bounds(fou(0.25 * s, s))
+        return u.sigma / s, l.sigma / s, l.scale
+
+    assert ratios(sigma) == pytest.approx(ratios(1.0), rel=0.0, abs=1e-6)
 
 
 def test_fit_window_validation():

@@ -19,7 +19,15 @@ first on the path, and prints one sha1 per key:
   result on ``lcg_probes(2000)``, signed zeros, infinities and NaN, for
   the demo, split and collapsed bases and for a 3-input and a 1-input
   base defined here (``extra_bases``), whose points are the same probes
-  widened to three inputs or cut to one.
+  widened to three inputs or cut to one;
+* ``samples/...``: the bytes of ``umf_samples`` and ``lmf_samples`` on the
+  default fit grid (``default_fit_window``, 1001 points) of each ``fit/``
+  FOU below and of three uncertain-sigma sets (``SIGMA_FOUS``);
+* ``fit/...``: the ``float.hex`` of ``fit_bounds``' six parameters for
+  uncertain-mean spreads 0 to 0.2 at sigma 0.418 (``FIT_SPREADS``) and
+  the first 60 inputs of perfbench's ``design`` workload at seed 1
+  (spread 0.05 to 0.2, sigma 0.3 to 0.5); every one has
+  ``sigma_lo >= 1e-3``.
 
 It prints the keys that differ, or that only one side has, and exits 1
 if there are any, 0 otherwise.
@@ -47,6 +55,9 @@ SURFACE_SEEDS = (1, 2, 3, 7919)
 TRACE_STARTS = ((0.1, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, 0.4), (-0.25, -0.3))
 SPECIAL_POINTS = ((0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (30.0, -30.0),
                   (math.inf, 0.2), (-0.4, -math.inf), (math.nan, 0.1), (0.3, math.nan))
+
+FIT_SPREADS = tuple(k / 100 for k in range(21))
+SIGMA_FOUS = ((0.0, 0.2, 0.35), (-0.4, 0.3, 0.3), (0.7, 0.05, 0.6))
 
 
 def _sha1(data: str | bytes) -> str:
@@ -94,8 +105,9 @@ def dump() -> dict[str, str]:
     import numpy as np
     from helpers import collapsed_rulebase, split_rulebase
     from it2fuzz import cli, pendulum
+    from it2fuzz.mf import IT2Gaussian, default_fit_window, fit_bounds
     from it2fuzz.rulebase import default_rulebase
-    from perfbench.workloads import SurfaceWorkload
+    from perfbench.workloads import DesignWorkload, SurfaceWorkload
 
     demo = default_rulebase()
     bases = {"demo": demo, "split": split_rulebase(demo), "collapsed": collapsed_rulebase()}
@@ -127,6 +139,9 @@ def dump() -> dict[str, str]:
                     initial_angle=angle, initial_velocity=velocity))
                 pendulum.write_trace_csv(trace, csv)
                 out[f"trace/{token}/{angle!r},{velocity!r}"] = _sha1(csv.read_bytes())
+        design = DesignWorkload(1, tmp)
+        fous = [(d, 0.418) for d in FIT_SPREADS]
+        fous += [design.make_input(k)[:2] for k in range(60)]
 
     points = cli.lcg_probes(2000) + list(SPECIAL_POINTS)
     cases = {base: (rb, points) for base, rb in bases.items()}
@@ -144,6 +159,20 @@ def dump() -> dict[str, str]:
             out[f"fire/{base}/{token}"] = _sha1(",".join(fire))
             out[f"infer/{base}/{token}"] = _sha1(",".join(infer))
             out[f"infer_batch/{base}/{token}"] = _sha1(",".join(batch))
+
+    mean_sets = {f"{dmu!r},{sigma!r}": IT2Gaussian.uncertain_mean(-dmu, dmu, sigma)
+                 for dmu, sigma in fous}
+    sigma_sets = {f"{mean!r},{lo!r},{hi!r}": IT2Gaussian.uncertain_sigma(mean, lo, hi)
+                  for mean, lo, hi in SIGMA_FOUS}
+    for kind, sets in (("uncertain-mean", mean_sets), ("uncertain-sigma", sigma_sets)):
+        for name, m in sets.items():
+            xs = np.linspace(*default_fit_window(m), 1001)
+            out[f"samples/{kind}/{name}"] = _sha1(m.umf_samples(xs).tobytes()
+                                                  + m.lmf_samples(xs).tobytes())
+    for name, m in mean_sets.items():
+        umf, lmf = fit_bounds(m)
+        out[f"fit/{name}"] = _sha1(",".join(
+            v.hex() for g in (umf, lmf) for v in (g.mean, g.sigma, g.scale)))
     return out
 
 
