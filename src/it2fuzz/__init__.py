@@ -4,7 +4,6 @@ from .mf import (
     IT2Gaussian,
     ScaledGaussian,
     FitDominanceViolated,
-    NonConvergence,
     default_fit_window,
     fit_bounds,
 )
@@ -57,7 +56,7 @@ from .pendulum import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "IT2Gaussian", "ScaledGaussian", "FitDominanceViolated", "NonConvergence",
+    "IT2Gaussian", "ScaledGaussian", "FitDominanceViolated",
     "default_fit_window", "fit_bounds",
     "Partition", "Rule", "RuleBase", "RuleBaseInvalid", "Violation",
     "default_rulebase", "dump_rulebase", "load_rulebase",

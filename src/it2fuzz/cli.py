@@ -31,8 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import BoundSource, ClosedFormEngine, EngineConfig, Form
-from .mf import (FitDominanceViolated, IT2Gaussian, NonConvergence,
-                 default_fit_window, fit_bounds)
+from .mf import IT2Gaussian, default_fit_window, fit_bounds
 from .pendulum import (LoopConfig, NumericalBlowup, settle_time, simulate,
                        write_trace_csv)
 from .reference import RefConfig, ReferenceEngine
@@ -197,10 +196,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise CliError("dmu must be non-negative")
     m = IT2Gaussian.uncertain_mean(-args.dmu, args.dmu, args.sigma)
     window = tuple(args.window) if args.window else default_fit_window(m)
-    try:
-        umf, lmf = fit_bounds(m, window=window, samples=args.samples)
-    except (FitDominanceViolated, NonConvergence, ValueError) as exc:
-        raise CliError(str(exc))
+    umf, lmf = fit_bounds(m, window=window, samples=args.samples)
     xs = np.linspace(window[0], window[1], args.samples)
     sse = float(np.sum((m.umf_samples(xs) - umf.sample(xs)) ** 2)
                 + np.sum((m.lmf_samples(xs) - lmf.sample(xs)) ** 2))

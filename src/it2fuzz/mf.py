@@ -34,7 +34,6 @@ __all__ = [
     "default_fit_window",
     "fit_bounds",
     "FitDominanceViolated",
-    "NonConvergence",
 ]
 
 UNCERTAIN_MEAN = "uncertain_mean"
@@ -42,16 +41,13 @@ UNCERTAIN_SIGMA = "uncertain_sigma"
 
 # 1/phi, the golden-section step ratio.
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# fit_bounds stops once sigma and scale each move by no more than this.
-_PARAM_TOL = 1e-10
+# Steps of every golden-section search: 1/phi**67 < 1e-14, so the final
+# bracket is narrower than 1e-14 of the searched interval.
+_GOLDEN_STEPS = 67
 
 
 class FitDominanceViolated(ValueError):
     """Fitted lower bound exceeds the fitted upper bound on the fit grid."""
-
-
-class NonConvergence(RuntimeError):
-    """Bound fitter missed its parameter tolerance within the iteration budget."""
 
 
 @dataclass(frozen=True)
@@ -91,7 +87,8 @@ class IT2Gaussian:
     Use the ``uncertain_mean`` / ``uncertain_sigma`` constructors rather
     than filling the fields directly.  ``fitted_umf`` / ``fitted_lmf``
     hold optional scaled-Gaussian stand-ins for the exact bounds; attach
-    them with :meth:`with_fitted` or :meth:`fit`.
+    them with :meth:`with_fitted` or :meth:`fit`.  Means must be finite and
+    sigmas positive and finite.
     """
 
     kind: str
@@ -105,10 +102,12 @@ class IT2Gaussian:
     def __post_init__(self) -> None:
         if self.kind not in (UNCERTAIN_MEAN, UNCERTAIN_SIGMA):
             raise ValueError(f"unknown FOU kind {self.kind!r}")
+        if not (math.isfinite(self.mean_lo) and math.isfinite(self.mean_hi)):
+            raise ValueError(f"means must be finite, got {self.mean_lo}, {self.mean_hi}")
         if not self.mean_lo <= self.mean_hi:
             raise ValueError("mean_lo must not exceed mean_hi")
-        if not 0.0 < self.sigma_lo <= self.sigma_hi:
-            raise ValueError("sigmas must satisfy 0 < sigma_lo <= sigma_hi")
+        if not 0.0 < self.sigma_lo <= self.sigma_hi < math.inf:
+            raise ValueError("sigmas must satisfy 0 < sigma_lo <= sigma_hi < inf")
         if self.kind == UNCERTAIN_MEAN and self.sigma_lo != self.sigma_hi:
             raise ValueError("uncertain-mean sets use a single sigma")
         if self.kind == UNCERTAIN_SIGMA and self.mean_lo != self.mean_hi:
@@ -198,19 +197,17 @@ def lower_exceeds_upper(umf: ScaledGaussian, lmf: ScaledGaussian, xs: np.ndarray
     return bool(np.any(lmf.sample(xs) > umf.sample(xs) + 1e-9))
 
 
-def _golden_min(f, lo: float, hi: float, tol: float, max_iter: int) -> float:
+def _golden_min(f, lo: float, hi: float) -> float:
     """Golden-section minimum of a unimodal function on [lo, hi].
 
-    Shrinks the bracket until its width drops below ``tol``; raises
-    NonConvergence if the budget runs out first.
+    Runs ``_GOLDEN_STEPS`` steps and returns the midpoint of the final
+    bracket, so the result lies within 1e-14 * (hi - lo) of the minimum.
     """
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a <= tol:
-            return 0.5 * (a + b)
+    for _ in range(_GOLDEN_STEPS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -219,29 +216,26 @@ def _golden_min(f, lo: float, hi: float, tol: float, max_iter: int) -> float:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
             fd = f(d)
-    raise NonConvergence(
-        f"golden-section bracket still {b - a:.3e} wide after {max_iter} iterations"
-    )
+    return 0.5 * (a + b)
 
 
 def fit_bounds(
     m: IT2Gaussian,
     window: tuple[float, float] | None = None,
     samples: int = 1001,
-    max_iter: int = 200,
 ) -> tuple[ScaledGaussian, ScaledGaussian]:
     """Least-squares scaled-Gaussian stand-ins for the exact FOU bounds.
 
-    Both fits keep the mean pinned at the FOU center.  The upper fit
-    keeps scale = 1 and searches sigma only; the lower fit searches sigma
-    and scale jointly (golden-section on sigma, closed-form least-squares
-    scale, alternated to convergence).
+    Both fits keep the mean pinned at the FOU center and make one
+    golden-section search over sigma each.  The upper fit keeps scale = 1;
+    the lower fit uses variable projection: at each sigma its scale is the
+    closed-form least-squares one, so the search runs over sigma alone.
+    A search result that does not clearly beat the exact bound's sigma
+    gives way to it.
 
     Returns (fitted_umf, fitted_lmf).  Raises FitDominanceViolated if the
     fitted lower bound pokes above the fitted upper bound anywhere on the
-    sample grid, and NonConvergence if the parameter change fails to drop
-    below ``_PARAM_TOL`` (sigma's shrinks with ``sigma_lo`` under 1e-3)
-    within ``max_iter`` iterations.
+    sample grid.
     """
     if window is None:
         window = default_fit_window(m)
@@ -267,9 +261,6 @@ def fit_bounds(
     if not math.isfinite(hi_sq):
         raise ValueError(f"largest search sigma {sig_hi:.3g} must be below "
                          "~1.3e154, or its square overflows")
-    # Scale-free: absolute sigma tolerances would stop narrow sets unfitted.
-    sigma_tol = _PARAM_TOL * min(1.0, 1e3 * m.sigma_lo)
-    gs_tol = 1e-3 * sigma_tol
 
     xs = np.linspace(lo, hi, int(samples))
     center = m.center
@@ -283,45 +274,32 @@ def fit_bounds(
     def curve(sigma: float) -> np.ndarray:
         return np.exp(dx2 * (-0.5 / (sigma * sigma)))
 
-    def sse(sigma: float, scale: float, target: np.ndarray) -> float:
-        r = target - scale * curve(sigma)
-        return float(np.dot(r, r))
-
     def improves(cand_val: float, cur_val: float) -> bool:
         # Within the float noise floor the objective is flat and a
         # bracketing search just wanders; only clear improvements count,
         # which gives every search below an exact resting point.
         return cand_val < cur_val - 4.0 * np.finfo(float).eps * (1.0 + cur_val)
 
-    def best_sigma(scale: float, baseline: float, target: np.ndarray) -> float:
-        cand = _golden_min(
-            lambda s: sse(s, scale, target), sig_lo, sig_hi, gs_tol, max_iter
-        )
-        if improves(sse(cand, scale, target), sse(baseline, scale, target)):
-            return cand
-        return baseline
+    def best_sigma(objective, baseline: float) -> float:
+        cand = _golden_min(objective, sig_lo, sig_hi)
+        return cand if improves(objective(cand), objective(baseline)) else baseline
 
-    def opt_scale(sigma: float, target: np.ndarray) -> float:
+    def upper_sse(sigma: float) -> float:
+        r = u_target - curve(sigma)
+        return float(np.dot(r, r))
+
+    # For a fixed sigma the lower SSE is a convex quadratic in the scale.
+    def opt_scale(g: np.ndarray) -> float:
+        return min(max(float(np.dot(l_target, g) / np.dot(g, g)), 1e-12), 1.0)
+
+    def lower_sse(sigma: float) -> float:
         g = curve(sigma)
-        return min(max(float(np.dot(target, g) / np.dot(g, g)), 1e-12), 1.0)
+        r = l_target - opt_scale(g) * g
+        return float(np.dot(r, r))
 
-    u_sigma = best_sigma(1.0, float(m.sigma_hi), u_target)
-    fitted_umf = ScaledGaussian(center, u_sigma, 1.0)
-
-    sigma = float(m.sigma_lo)
-    scale = opt_scale(sigma, l_target)
-    for _ in range(max_iter):
-        new_sigma = best_sigma(scale, sigma, l_target)
-        new_scale = opt_scale(new_sigma, l_target)
-        done = abs(new_scale - scale) <= _PARAM_TOL and abs(new_sigma - sigma) <= sigma_tol
-        sigma, scale = new_sigma, new_scale
-        if done:
-            break
-    else:
-        raise NonConvergence(
-            f"lower-bound fit still moving after {max_iter} alternations"
-        )
-    fitted_lmf = ScaledGaussian(center, sigma, scale)
+    fitted_umf = ScaledGaussian(center, best_sigma(upper_sse, float(m.sigma_hi)), 1.0)
+    sigma = best_sigma(lower_sse, float(m.sigma_lo))
+    fitted_lmf = ScaledGaussian(center, sigma, opt_scale(curve(sigma)))
 
     if lower_exceeds_upper(fitted_umf, fitted_lmf, xs):
         raise FitDominanceViolated(

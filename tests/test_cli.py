@@ -140,6 +140,11 @@ def _first_set(d, key, value):
     return d
 
 
+def _middle_set(d, **fields):
+    d["inputs"][0]["sets"][1].update(fields)
+    return d
+
+
 @pytest.mark.parametrize("mangle", [
     lambda d: [d],
     lambda d: {**d, "rules": [{**d["rules"][0], "if": 5}] + d["rules"][1:]},
@@ -154,13 +159,17 @@ def _first_set(d, key, value):
     lambda d: _first_set(d, "fitted_umf", {**d["inputs"][0]["sets"][0]["fitted_umf"],
                                            "scale": True}),
     lambda d: {**d, "inputs": [{**d["inputs"][0], "universe": [-1, True]}] + d["inputs"][1:]},
+    lambda d: _middle_set(d, sigma=math.inf),
+    lambda d: _middle_set(d, mean_lo=-math.inf, mean_hi=math.inf),
 ], ids=["top_level_list", "scalar_antecedent", "scalar_inputs", "nan_fitted_mean",
         "reversed_universe", "unknown_kind", "float_antecedent", "bool_consequent",
-        "string_names", "string_sigma", "bool_fitted_scale", "bool_universe_end"])
+        "string_names", "string_sigma", "bool_fitted_scale", "bool_universe_end",
+        "infinite_sigma", "infinite_means"])
 def test_surface_rejects_malformed_rule_file(mangle, tmp_path, capsys):
     d = rulebase_to_dict(default_rulebase())
     rules = tmp_path / "malformed.json"
-    rules.write_text(json.dumps(mangle(d)))
+    # 1e999 is valid JSON that reads as inf
+    rules.write_text(json.dumps(mangle(d)).replace("Infinity", "1e999"))
     rc = main(["surface", "--rules", str(rules), "--out",
                str(tmp_path / "x.csv")])
     assert rc == 2
@@ -250,6 +259,13 @@ def test_fit_command_degenerate_spread(tmp_path):
     assert report["lmf"]["sigma"] == pytest.approx(0.418, abs=1e-6)
     assert report["lmf"]["scale"] == pytest.approx(1.0, abs=1e-6)
     assert report["sse"] == 0.0
+
+
+def test_fit_command_wide_fou(tmp_path):
+    out = tmp_path / "wide.json"
+    assert main(["fit", "--dmu", "250", "--sigma", "1000", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["umf"]["sigma"] > 1000.0 > report["lmf"]["sigma"] > 0.0
 
 
 @pytest.mark.parametrize("argv", [

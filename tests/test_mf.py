@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from it2fuzz import (
     IT2Gaussian,
-    NonConvergence,
     ScaledGaussian,
     default_fit_window,
     fit_bounds,
 )
 from it2fuzz.cli import lcg_probes
+from it2fuzz.mf import _golden_min
 
 import oracles
 from oracles import (
@@ -70,6 +70,13 @@ def test_fou_constructor_validation():
         IT2Gaussian.uncertain_sigma(0.0, 0.5, 0.3)
     with pytest.raises(ValueError):
         IT2Gaussian("triangular", 0.0, 0.0, 1.0, 1.0)
+    for bad in (lambda: IT2Gaussian.uncertain_mean(-math.inf, 0.1, 0.4),
+                lambda: IT2Gaussian.uncertain_mean(-0.1, math.inf, 0.4),
+                lambda: IT2Gaussian.uncertain_mean(-0.1, 0.1, math.inf),
+                lambda: IT2Gaussian.uncertain_sigma(math.inf, 0.2, 0.4),
+                lambda: IT2Gaussian.uncertain_sigma(0.0, 0.2, math.inf)):
+        with pytest.raises(ValueError, match="finite|inf"):
+            bad()
 
 
 def test_umf_plateau_and_shoulders():
@@ -236,8 +243,8 @@ def test_fit_degenerate_spread_returns_base_gaussian():
     assert u.scale == 1.0
 
 
-@pytest.mark.parametrize("sigma", [1e-10, 1e-13, 1e-100])
-def test_fit_is_scale_free_for_narrow_fous(sigma):
+@pytest.mark.parametrize("sigma", [1e-10, 1e-13, 1e-100, 1e3, 1e6, 1e100])
+def test_fit_is_scale_free(sigma):
     def ratios(s):
         u, l = fit_bounds(fou(0.25 * s, s))
         return u.sigma / s, l.sigma / s, l.scale
@@ -257,9 +264,32 @@ def test_fit_window_validation():
         fit_bounds(m, window=(-1.0, math.inf))
 
 
-def test_fit_budget_exhaustion_raises():
-    with pytest.raises(NonConvergence):
-        fit_bounds(fou(0.1), max_iter=3)
+@pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+def test_golden_min_brackets_the_minimum_to_1e14(scale):
+    # The fixed step count alone must shrink the bracket below 1e-14 of the
+    # searched interval, at any scale and wherever the minimum lies in it,
+    # ends included.
+    lo, hi = 0.01 * scale, 3.0 * scale
+    for k in range(7):
+        target = lo + k / 6 * (hi - lo)
+        for f in (lambda s: (s - target) ** 2, lambda s: abs(s - target)):
+            assert abs(_golden_min(f, lo, hi) - target) <= 1e-14 * (hi - lo)
+
+
+LOWER_FIT_FOUS = ([fou(k / 100) for k in range(21)]
+                  + [fou(0.25 * s, s) for s in (1e-13, 1.0)])
+
+
+@pytest.mark.parametrize("m", LOWER_FIT_FOUS)
+def test_lower_fit_matches_alternating_oracle(m):
+    # One search over sigma with the scale projected out must reach at least
+    # the coordinate descent's SSE, up to float noise, at the same sigma.
+    _, l = fit_bounds(m)
+    sigma, scale = oracles.alternating_lower_fit(m)
+    want = oracles.lower_fit_sse(m, sigma, scale)
+    eps = np.finfo(float).eps
+    assert oracles.lower_fit_sse(m, l.sigma, l.scale) <= want + 4.0 * eps * (1.0 + want)
+    assert l.sigma == pytest.approx(sigma, rel=1e-7, abs=0.0)
 
 
 def test_fit_attaches_both_bounds():

@@ -26,8 +26,7 @@ first on the path, and prints one sha1 per key:
 * ``fit/...``: the ``float.hex`` of ``fit_bounds``' six parameters for
   uncertain-mean spreads 0 to 0.2 at sigma 0.418 (``FIT_SPREADS``) and
   the first 60 inputs of perfbench's ``design`` workload at seed 1
-  (spread 0.05 to 0.2, sigma 0.3 to 0.5); every one has
-  ``sigma_lo >= 1e-3``.
+  (spread 0.05 to 0.2, sigma 0.3 to 0.5).
 
 It prints the keys that differ, or that only one side has, and exits 1
 if there are any, 0 otherwise.
