@@ -17,8 +17,8 @@ plain loop kept in ``tests/oracles.py``, so the results agree bit for
 bit; without the loop's appends, index loops and generators an inference
 costs about half.
 
-* The build is lazy and per function, and ``infer_batch`` (every surface
-  export) builds neither.
+* The build is lazy and per function; ``infer_batch`` (every surface
+  export) builds ``infer`` only once a row of it is flagged.
 * The source text holds only integer indices and fixed names; every bound
   parameter and consequent is a number global that the engine binds by
   name, so no rule-file value can become code.
@@ -38,13 +38,16 @@ All sums run through ``math.fsum`` so results are exactly rounded; a
 sign-symmetric rule base therefore yields bit-exact odd symmetry.
 
 ``ClosedFormEngine.infer_batch`` runs many input vectors at once (the
-surface export uses it) and equals ``infer`` bit for bit on every row:
-bounds are evaluated once per distinct input value, products and terms
-are numpy arithmetic in the same order, and the row sums are numpy
-error-free transformations whose result is proven equal to
-``math.fsum``'s, with ``math.fsum`` itself on any row the proof does not
-cover.  ``infer`` stays the path for serial callers such as the pendulum
-loop, where a one-row batch would cost more than the inference.
+surface export uses it) and equals ``infer`` bit for bit on every row.
+It computes the regular rows in numpy: bounds are evaluated once per
+distinct input value, products and terms are numpy arithmetic in the
+same order, and the row sums are numpy error-free transformations whose
+result is proven equal to ``math.fsum``'s, with ``math.fsum`` itself on
+any row the proof does not cover.  Every other row (flagged, or on the
+edge of being flagged) comes from the compiled ``infer``, so the kernel
+alone defines a flagged result.  ``infer`` stays the path for serial
+callers such as the pendulum loop, where a one-row batch would cost
+more than the inference.
 
 Degenerate cases are flagged, never raised: a collapsed FOU band falls
 back to the upper-firing average, and an input that fires nothing gives
@@ -186,54 +189,40 @@ class ClosedFormEngine:
 
         Returns ``(values, degenerate)``: a float array and a bool array of
         length N, equal to ``infer(row)``'s value and flag on every row.
-        Each distinct value of each input column is put through the same
-        bound formula the per-call path uses, the per-rule products and
-        the form's terms are elementwise numpy arithmetic in the per-call
-        order, and every row sum equals ``math.fsum``'s (``_row_fsum``),
-        with the per-call fallbacks, so no result depends on how rows are
-        batched.
+        Only regular rows, whose denominator is above
+        ``DEGENERATE_EPSILON``, are computed here: each distinct value of
+        each input column is put through the same bound formula the
+        per-call path uses, the per-rule products and the form's terms are
+        elementwise numpy arithmetic in the per-call order, and every row
+        sum equals ``math.fsum``'s (``_row_fsum``), so no result depends on
+        how rows are batched.  Every other row (a collapsed band, no
+        firing, a non-finite input, a gc denominator of exactly the
+        epsilon) is the compiled ``infer`` of that row.
 
         The gain comes from rows sharing column values, as on a Cartesian
         grid, where each bound runs once per axis value instead of once
         per row.  Rows with all-distinct values gain only the vectorised
         products and terms, and pay for the sort that finds the distinct
-        values.
+        values; flagged rows run at per-call speed.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self._n_inputs:
             raise ValueError(
                 f"expected an (N, {self._n_inputs}) array, got shape {X.shape}")
         ups, los = self._firing_batch(X)
-        eps = DEGENERATE_EPSILON
-        form = self.cfg.form
-        cons = np.array(self._cons)
-        values = np.zeros(len(X))
-        degenerate = np.ones(len(X), dtype=bool)
-        if form is Form.NT_CLOSED:
-            sums = ups + los
-            den = _row_fsum(sums)
-            ok = den > eps
-            values[ok] = _row_fsum(cons * sums[ok]) / den[ok]
-            degenerate[ok] = False
-            return values, degenerate
-        diffs = ups - los
-        den = _row_fsum(diffs)
-        ok = den >= eps
-        split = form is Form.GC_CLOSED_SPLIT
-        cons_u = np.array(self._cons_u) if split else cons
-        # Rows of a collapsed band fall back to the upper-firing average.
-        fall = np.flatnonzero(~ok)
-        if fall.size:
-            fall_ups = ups[fall]
-            uden = _row_fsum(fall_ups)
-            fired = uden > eps
-            values[fall[fired]] = _row_fsum(cons_u * fall_ups[fired]) / uden[fired]
-        if split:
-            terms = np.hstack((cons_u * ups[ok], -np.array(self._cons_l) * los[ok]))
+        weights = ups + los if self.cfg.form is Form.NT_CLOSED else ups - los
+        den = _row_fsum(weights)
+        ok = den > DEGENERATE_EPSILON
+        if self.cfg.form is Form.GC_CLOSED_SPLIT:
+            terms = np.hstack((np.array(self._cons_u) * ups[ok],
+                               -np.array(self._cons_l) * los[ok]))
         else:
-            terms = cons * diffs[ok]
+            terms = np.array(self._cons) * weights[ok]
+        values = np.zeros(len(X))
         values[ok] = _row_fsum(terms) / den[ok]
-        degenerate[ok] = False
+        degenerate = ~ok
+        for i in np.flatnonzero(degenerate).tolist():
+            values[i], degenerate[i] = self._infer(X[i].tolist())
         return values, degenerate
 
     def _firing_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,9 +230,11 @@ class ClosedFormEngine:
         ups = los = None
         ante_cols = np.array(self._ante, dtype=np.intp).reshape(-1, self._n_inputs).T
         for part, col, ante in zip(self.rb.partitions, X.T, ante_cols):
-            # Distinct by bit pattern, so -0.0 and each NaN keep their own entry.
-            keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
-            xs = keys.view(np.float64)[:, None]
+            # -0.0 and 0.0 share an entry: their bounds are bit-identical, as
+            # only x - clamp and z * z reach exp.  Non-finite rows end up in
+            # the compiled infer whatever their entry holds.
+            keys, inverse = np.unique(col, return_inverse=True)
+            xs = keys[:, None]
             # Rows lo, hi, sigma, scale; one column per set.
             bounds = np.array([s.bounds(self._fitted) for s in part.sets])
             upper, lower = bounds.transpose(1, 2, 0)

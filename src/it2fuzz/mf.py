@@ -288,9 +288,14 @@ def fit_bounds(
         r = u_target - curve(sigma)
         return float(np.dot(r, r))
 
-    # For a fixed sigma the lower SSE is a convex quadratic in the scale.
+    # For a fixed sigma the lower SSE is a convex quadratic in the scale.  A
+    # curve that underflows to 0 on the whole grid leaves the SSE the same
+    # for every scale; the floor keeps that lower bound as low as allowed.
     def opt_scale(g: np.ndarray) -> float:
-        return min(max(float(np.dot(l_target, g) / np.dot(g, g)), 1e-12), 1.0)
+        gg = float(np.dot(g, g))
+        if not gg > 0.0:
+            return 1e-12
+        return min(max(float(np.dot(l_target, g)) / gg, 1e-12), 1.0)
 
     def lower_sse(sigma: float) -> float:
         g = curve(sigma)

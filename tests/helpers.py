@@ -41,6 +41,25 @@ def split_rulebase(rb: RuleBase, offset: float = 0.1) -> RuleBase:
     return RuleBase(rb.partitions, rules)
 
 
+def partly_collapsed_rulebase() -> RuleBase:
+    """Demo rules, split, over narrow fitted sets whose middle one has zero
+    mean spread: regular, upper-average and no-firing rows interleave."""
+    p = Partition((-1.0, 1.0), tuple(
+        IT2Gaussian.uncertain_mean(lo, hi, 0.05).fit()
+        for lo, hi in ((-1.05, -0.95), (0.0, 0.0), (0.95, 1.05))))
+    return split_rulebase(RuleBase((p, p), demo_like_rulebase().rules))
+
+
+def huge_split_rulebase() -> RuleBase:
+    """Collapsed demo with split consequents +-1e308, opposite within a rule
+    and alternating across rules: the regular split terms of a row overflow
+    ``math.fsum`` where its upper-firing average does not."""
+    rb = collapsed_rulebase()
+    return RuleBase(rb.partitions, tuple(
+        Rule(r.antecedent, r.consequent, s * 1e308, -s * 1e308)
+        for r, s in zip(rb.rules, itertools.cycle((1.0, -1.0)))))
+
+
 def uneven_partition(centers) -> Partition:
     """Sets alternating uncertain mean and uncertain sigma, fitted by hand."""
     sets = []

@@ -219,8 +219,13 @@ def lattice_scale_rows(A, B, T):
     return sse[rows, c], j[rows, c].astype(int)
 
 
-def lattice_fit(xs, u_target, l_target, center, chunk=512):
-    """(umf_sigma_i, lmf_sigma_i, lmf_scale_j) lattice indices, units of 1e-4."""
+def lattice_fit(xs, u_target, l_target, center, chunk=64):
+    """(umf_sigma_i, lmf_sigma_i, lmf_scale_j) lattice indices, units of 1e-4.
+
+    Sigma rows go ``chunk`` at a time; the result does not depend on it.  At
+    1001 samples 64 rows are 0.5 MB a temporary, which the allocator reuses;
+    512 rows (4 MB) are mapped and faulted in afresh on every chunk.
+    """
     dx2 = (np.asarray(xs, dtype=float) - center) ** 2
     u_target = np.asarray(u_target, dtype=float)
     l_target = np.asarray(l_target, dtype=float)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -266,6 +267,21 @@ def test_fit_command_wide_fou(tmp_path):
     assert main(["fit", "--dmu", "250", "--sigma", "1000", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["umf"]["sigma"] > 1000.0 > report["lmf"]["sigma"] > 0.0
+
+
+# Narrow sets far apart: the lower target, and the unit curve at some or
+# all searched sigmas, underflow to 0 on the whole grid.
+@pytest.mark.parametrize("argv", [
+    ["--dmu", "100", "--sigma", "0.01", "--window", "-100", "250", "--samples", "101"],
+    ["--dmu", "2", "--sigma", "0.05", "--window", "-2", "4.5", "--samples", "101"],
+])
+def test_fit_command_underflowing_lower_target(argv, tmp_path, capsys):
+    out = tmp_path / "fit.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", *argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert 1e-12 <= json.loads(out.read_text())["lmf"]["scale"] <= 1.0
 
 
 @pytest.mark.parametrize("argv", [

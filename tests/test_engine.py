@@ -22,7 +22,8 @@ from it2fuzz import (
 from it2fuzz.cli import build_engine, lcg_probes
 from it2fuzz.engine import _row_fsum
 
-from helpers import collapsed_rulebase, split_rulebase, uneven_rulebase
+from helpers import (collapsed_rulebase, huge_split_rulebase, partly_collapsed_rulebase,
+                     split_rulebase, uneven_rulebase)
 import oracles
 from oracles import (DEMO_CONSEQUENTS, GC_CORNER, NT_CORNER, SPLIT_ORIGIN,
                      demo_gc, demo_nt, t1_center_average)
@@ -248,13 +249,19 @@ BATCH_POINTS = (lcg_probes(2000)
                    for x in ((bad, 0.2), (-0.4, bad))])
 BATCH_CASES = ([("demo", t) for t in CLOSED_TOKENS if "split" not in t]
                + [("split", t) for t in CLOSED_TOKENS]
-               + [("collapsed", t) for t in ("gc-closed-exact", "nt-closed-exact")])
+               + [("collapsed", t) for t in ("gc-closed-exact", "nt-closed-exact")]
+               + [("partly-collapsed", t) for t in CLOSED_TOKENS]
+               + [("huge-split", "gc-closed-split-exact")])
+BATCH_BASES = {"demo": lambda: RB, "split": lambda: split_rulebase(RB),
+               "collapsed": collapsed_rulebase,
+               "partly-collapsed": partly_collapsed_rulebase,
+               "huge-split": huge_split_rulebase}
 
 
 @pytest.mark.parametrize("base, token", BATCH_CASES,
                          ids=[f"{b}-{t}" for b, t in BATCH_CASES])
 def test_infer_batch_matches_infer_bitwise(base, token):
-    rb = {"demo": RB, "split": split_rulebase(RB), "collapsed": collapsed_rulebase()}[base]
+    rb = BATCH_BASES[base]()
     engine = build_engine(rb, token)
     values, degenerate = engine.infer_batch(np.array(BATCH_POINTS))
     assert values.dtype == np.float64 and degenerate.dtype == np.bool_

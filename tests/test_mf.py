@@ -1,6 +1,7 @@
 """Membership functions: exact FOU bounds and the scaled-Gaussian fits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,17 @@ def test_fit_is_scale_free(sigma):
         return u.sigma / s, l.sigma / s, l.scale
 
     assert ratios(sigma) == pytest.approx(ratios(1.0), rel=0.0, abs=1e-6)
+
+
+def test_fit_with_lower_target_zero_on_grid():
+    # Every grid sample of the lower target, and of the unit curve at the
+    # baseline sigma 0.01, underflows to 0: the least-squares scale is 0/0.
+    m = fou(100.0, 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        umf, lmf = fit_bounds(m, window=(-100.0, 250.0), samples=101)
+    assert 1e-12 <= lmf.scale <= 1.0
+    assert math.isfinite(umf.sigma) and math.isfinite(lmf.sigma)
 
 
 def test_fit_window_validation():

@@ -12,14 +12,17 @@ first on the path, and prints one sha1 per key:
 * ``surface/...``: the bytes of ``generate_surface`` CSVs over perfbench's
   split surface rule base for seeds 1, 2, 3 and 7919 at grids 17 and 41
   with all six closed-form tokens, the demo with its four closed-form
-  tokens and ``gc-ref``, and the collapsed base with both exact tokens;
+  tokens and ``gc-ref``, the collapsed base with both exact tokens, and
+  the partly collapsed base below with all six;
 * ``trace/...``: pendulum trace CSV bytes for the six closed-form tokens
   (split tokens on the split demo) from starts that include ``-0.0``;
 * ``fire/...``, ``infer/...``, ``infer_batch/...``: ``float.hex`` of every
   result on ``lcg_probes(2000)``, signed zeros, infinities and NaN, for
-  the demo, split and collapsed bases and for a 3-input and a 1-input
-  base defined here (``extra_bases``), whose points are the same probes
-  widened to three inputs or cut to one;
+  the demo, split and collapsed bases and for three bases defined here:
+  a 3-input and a 1-input one (``extra_bases``), whose points are the
+  same probes widened to three inputs or cut to one, and a partly
+  collapsed one (``partly_collapsed_base``), whose regular, upper-average
+  and no-firing rows interleave;
 * ``samples/...``: the bytes of ``umf_samples`` and ``lmf_samples`` on the
   default fit grid (``default_fit_window``, 1001 points) of each ``fit/``
   FOU below and of three uncertain-sigma sets (``SIGMA_FOUS``);
@@ -99,6 +102,18 @@ def extra_bases(points):
             "one-input": (one, [(a,) for x in points for a in x])}
 
 
+def partly_collapsed_base():
+    """The demo's rules, split +-0.1, over fitted uncertain-mean sets
+    (-1.05, -0.95), (0, 0) and (0.95, 1.05) at sigma 0.05 on both inputs."""
+    from helpers import demo_like_rulebase, split_rulebase
+    from it2fuzz import IT2Gaussian, Partition, RuleBase
+
+    p = Partition((-1.0, 1.0), tuple(
+        IT2Gaussian.uncertain_mean(lo, hi, 0.05).fit()
+        for lo, hi in ((-1.05, -0.95), (0.0, 0.0), (0.95, 1.05))))
+    return split_rulebase(RuleBase((p, p), demo_like_rulebase().rules))
+
+
 def dump() -> dict[str, str]:
     """Keyed sha1s of this process's ``it2fuzz`` outputs (see the module doc)."""
     import numpy as np
@@ -109,7 +124,8 @@ def dump() -> dict[str, str]:
     from perfbench.workloads import DesignWorkload, SurfaceWorkload
 
     demo = default_rulebase()
-    bases = {"demo": demo, "split": split_rulebase(demo), "collapsed": collapsed_rulebase()}
+    bases = {"demo": demo, "split": split_rulebase(demo), "collapsed": collapsed_rulebase(),
+             "partly-collapsed": partly_collapsed_base()}
     out: dict[str, str] = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -129,6 +145,9 @@ def dump() -> dict[str, str]:
             spec = cli.SurfaceSpec(grid, engines=("gc-closed-exact", "nt-closed-exact"))
             out[f"surface/collapsed/{grid}"] = _sha1(
                 "\n".join(cli.generate_surface(bases["collapsed"], spec)))
+            spec = cli.SurfaceSpec(grid, engines=CLOSED_TOKENS)
+            out[f"surface/partly-collapsed/{grid}"] = _sha1(
+                "\n".join(cli.generate_surface(bases["partly-collapsed"], spec)))
 
         csv = tmp / "trace.csv"
         for token in CLOSED_TOKENS:
