@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import BoundSource, ClosedFormEngine, EngineConfig, Form
+from .engine import BoundSource, ClosedFormEngine, EngineConfig, Form, infer_batches
 from .mf import IT2Gaussian, default_fit_window, fit_bounds
 from .pendulum import (LoopConfig, NumericalBlowup, settle_time, simulate,
                        write_trace_csv)
@@ -69,6 +69,12 @@ def parse_engine_mode(token: str) -> tuple[str, BoundSource]:
     if base not in _REF_METHODS and base not in [f.value for f in Form]:
         raise CliError(f"unknown engine mode {token!r}")
     return base, source
+
+
+def _engine_tokens(text: str) -> tuple[str, ...]:
+    """The tokens of a comma-separated ``--engine`` value, stripped once so
+    that headers and report keys name the engine that is built."""
+    return tuple(tok.strip() for tok in text.split(","))
 
 
 def build_engine(rb: RuleBase, token: str, ref: RefConfig | None = None):
@@ -130,16 +136,19 @@ def generate_surface(rb: RuleBase, spec: SurfaceSpec) -> list[str]:
     """CSV lines (header first) for the engines evaluated over the grid.
 
     Rows run row-major: x1 varies slowest.  Values are printed with 17
-    significant digits so equal inputs give byte-identical files.  A
-    closed-form engine evaluates the whole grid in one ``infer_batch``
-    call, which equals its ``infer`` bit for bit; other engines run
-    ``infer`` point by point.
+    significant digits so equal inputs give byte-identical files.  The
+    closed-form engines evaluate the whole grid in one ``infer_batches``
+    call, which equals each one's ``infer`` bit for bit and fires once per
+    bound source, whatever the forms; other engines run ``infer`` point by
+    point.  A single closed-form token has nothing to share and gains
+    nothing.
     """
     engines = [build_engine(rb, tok) for tok in spec.engines]
     axis = np.linspace(spec.axis_range[0], spec.axis_range[1], spec.grid)
     points = [(x1, x2) for x1 in axis for x2 in axis]
-    grid = np.array(points)
-    columns = [e.infer_batch(grid)[0].tolist() if isinstance(e, ClosedFormEngine)
+    batches = iter(infer_batches(
+        [e for e in engines if isinstance(e, ClosedFormEngine)], np.array(points)))
+    columns = [next(batches)[0].tolist() if isinstance(e, ClosedFormEngine)
                else [e.infer(x).value for x in points]
                for e in engines]
     labels = [_fmt(v) for v in axis.tolist()]
@@ -152,7 +161,7 @@ def generate_surface(rb: RuleBase, spec: SurfaceSpec) -> list[str]:
 
 def cmd_surface(args: argparse.Namespace) -> int:
     rb = _load_rules(args.rules)
-    spec = SurfaceSpec(grid=args.grid, engines=tuple(args.engine.split(",")))
+    spec = SurfaceSpec(grid=args.grid, engines=_engine_tokens(args.engine))
     _write_out("\n".join(generate_surface(rb, spec)) + "\n", args.out)
     return 0
 
@@ -273,7 +282,7 @@ def run_bench(rb: RuleBase, engine_tokens: tuple[str, ...], probes: int,
 
 def cmd_bench(args: argparse.Namespace) -> int:
     rb = _load_rules(args.rules)
-    tokens = tuple(args.engine.split(","))
+    tokens = _engine_tokens(args.engine)
     for tok in tokens:
         parse_engine_mode(tok)
     report = run_bench(rb, tokens, args.probes, seed=args.seed)

@@ -17,7 +17,7 @@ plain loop kept in ``tests/oracles.py``, so the results agree bit for
 bit; without the loop's appends, index loops and generators an inference
 costs about half.
 
-* The build is lazy and per function; ``infer_batch`` (every surface
+* The build is lazy and per function; the batch path (every surface
   export) builds ``infer`` only once a row of it is flagged.
 * The source text holds only integer indices and fixed names; every bound
   parameter and consequent is a number global that the engine binds by
@@ -37,15 +37,17 @@ costs about half.
 All sums run through ``math.fsum`` so results are exactly rounded; a
 sign-symmetric rule base therefore yields bit-exact odd symmetry.
 
-``ClosedFormEngine.infer_batch`` runs many input vectors at once (the
-surface export uses it) and equals ``infer`` bit for bit on every row.
-It computes the regular rows in numpy: bounds are evaluated once per
-distinct input value, products and terms are numpy arithmetic in the
-same order, and the row sums are numpy error-free transformations whose
-result is proven equal to ``math.fsum``'s, with ``math.fsum`` itself on
-any row the proof does not cover.  Every other row (flagged, or on the
-edge of being flagged) comes from the compiled ``infer``, so the kernel
-alone defines a flagged result.  ``infer`` stays the path for serial
+``infer_batches(engines, X)`` runs many input vectors through several
+engines at once, one firing pass per rule base and bound source (the
+surface export uses it; ``ClosedFormEngine.infer_batch`` is its
+one-engine case), and equals each engine's ``infer`` bit for bit on
+every row.  It computes the regular rows in numpy: bounds are evaluated
+once per distinct input value, products and terms are numpy arithmetic
+in the same order, and the row sums are numpy error-free transformations
+whose result is proven equal to ``math.fsum``'s, with ``math.fsum``
+itself on any row the proof does not cover.  Every other row (flagged,
+or on the edge of being flagged) comes from the engine's compiled
+``infer``, so the kernel alone defines a flagged result.  ``infer`` stays the path for serial
 callers such as the pendulum loop, where a one-row batch would cost
 more than the inference.
 
@@ -76,6 +78,7 @@ __all__ = [
     "FiringInterval",
     "InferenceResult",
     "ClosedFormEngine",
+    "infer_batches",
 ]
 
 # Denominators (closed forms) and masses (reference) not above this are
@@ -189,41 +192,10 @@ class ClosedFormEngine:
 
         Returns ``(values, degenerate)``: a float array and a bool array of
         length N, equal to ``infer(row)``'s value and flag on every row.
-        Only regular rows, whose denominator is above
-        ``DEGENERATE_EPSILON``, are computed here: each distinct value of
-        each input column is put through the same bound formula the
-        per-call path uses, the per-rule products and the form's terms are
-        elementwise numpy arithmetic in the per-call order, and every row
-        sum equals ``math.fsum``'s (``_row_fsum``), so no result depends on
-        how rows are batched.  Every other row (a collapsed band, no
-        firing, a non-finite input, a gc denominator of exactly the
-        epsilon) is the compiled ``infer`` of that row.
-
-        The gain comes from rows sharing column values, as on a Cartesian
-        grid, where each bound runs once per axis value instead of once
-        per row.  Rows with all-distinct values gain only the vectorised
-        products and terms, and pay for the sort that finds the distinct
-        values; flagged rows run at per-call speed.
+        This is ``infer_batches([self], X)[0]``; see there for how the rows
+        are computed and when a batch gains.
         """
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self._n_inputs:
-            raise ValueError(
-                f"expected an (N, {self._n_inputs}) array, got shape {X.shape}")
-        ups, los = self._firing_batch(X)
-        weights = ups + los if self.cfg.form is Form.NT_CLOSED else ups - los
-        den = _row_fsum(weights)
-        ok = den > DEGENERATE_EPSILON
-        if self.cfg.form is Form.GC_CLOSED_SPLIT:
-            terms = np.hstack((np.array(self._cons_u) * ups[ok],
-                               -np.array(self._cons_l) * los[ok]))
-        else:
-            terms = np.array(self._cons) * weights[ok]
-        values = np.zeros(len(X))
-        values[ok] = _row_fsum(terms) / den[ok]
-        degenerate = ~ok
-        for i in np.flatnonzero(degenerate).tolist():
-            values[i], degenerate[i] = self._infer(X[i].tolist())
-        return values, degenerate
+        return infer_batches([self], X)[0]
 
     def _firing_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(N, n_rules) upper and lower firing, equal to ``fire`` row by row."""
@@ -247,6 +219,69 @@ class ClosedFormEngine:
             ups = u if ups is None else ups * u
             los = l if los is None else los * l
         return ups, los
+
+
+def infer_batches(engines: Sequence[ClosedFormEngine],
+                  X) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each engine's ``infer_batch(X)``, in order, with the firing shared.
+
+    Firing depends only on the rule base and the bound source, so engines
+    that hold the same rule base object and bound source share one
+    ``_firing_batch(X)``, and within such a group the gc forms share one
+    denominator (their weights are both ``upper - lower``).  Each engine
+    then reduces the shared arrays with its own form.
+
+    Only regular rows, whose denominator is above ``DEGENERATE_EPSILON``,
+    are computed here: each distinct value of each input column is put
+    through the same bound formula the per-call path uses, the per-rule
+    products and the form's terms are elementwise numpy arithmetic in the
+    per-call order, and every row sum equals ``math.fsum``'s
+    (``_row_fsum``), so no result depends on how rows are batched or
+    engines grouped.  Every other row (a collapsed band, no firing, a
+    non-finite input, a gc denominator of exactly the epsilon) is that
+    engine's compiled ``infer`` of the row.
+
+    The gain comes from rows sharing column values, as on a Cartesian
+    grid, where each bound runs once per axis value instead of once per
+    row, and from engines sharing a rule base and bound source.  Rows with
+    all-distinct values gain only the vectorised products and terms, and
+    pay for the sort that finds the distinct values; flagged rows run at
+    per-call speed.
+    """
+    if not engines:
+        return []
+    X = np.asarray(X, dtype=float)
+    for e in engines:
+        if X.ndim != 2 or X.shape[1] != e._n_inputs:
+            raise ValueError(
+                f"expected an (N, {e._n_inputs}) array, got shape {X.shape}")
+    groups: dict[tuple[int, bool], list[int]] = {}
+    for k, e in enumerate(engines):
+        groups.setdefault((id(e.rb), e._fitted), []).append(k)
+    results: list = [None] * len(engines)
+    for members in groups.values():
+        ups, los = engines[members[0]]._firing_batch(X)
+        shared = {}  # nt or not -> (weights, row sums)
+        for k in members:
+            e = engines[k]
+            nt = e.cfg.form is Form.NT_CLOSED
+            if nt not in shared:
+                weights = ups + los if nt else ups - los
+                shared[nt] = weights, _row_fsum(weights)
+            weights, den = shared[nt]
+            ok = den > DEGENERATE_EPSILON
+            if e.cfg.form is Form.GC_CLOSED_SPLIT:
+                terms = np.hstack((np.array(e._cons_u) * ups[ok],
+                                   -np.array(e._cons_l) * los[ok]))
+            else:
+                terms = np.array(e._cons) * weights[ok]
+            values = np.zeros(len(X))
+            values[ok] = _row_fsum(terms) / den[ok]
+            degenerate = ~ok
+            for i in np.flatnonzero(degenerate).tolist():
+                values[i], degenerate[i] = e._infer(X[i].tolist())
+            results[k] = values, degenerate
+    return results
 
 
 def _exp(a: np.ndarray) -> np.ndarray:

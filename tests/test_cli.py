@@ -8,11 +8,12 @@ import pytest
 
 from it2fuzz import (BoundSource, ClosedFormEngine, ReferenceEngine, RuleBase,
                      default_rulebase, dump_rulebase, rulebase_to_dict)
+from it2fuzz import cli, engine as engine_mod
 from it2fuzz.cli import (CliError, SurfaceSpec, generate_surface, lcg_probes,
                          main, parse_engine_mode, run_bench)
 
 import oracles
-from helpers import demo_like_rulebase
+from helpers import ConstantEngine, demo_like_rulebase, split_rulebase
 
 RB = default_rulebase()
 
@@ -80,23 +81,56 @@ def test_surface_rows_match_engine():
         assert val == engine.infer((x1, x2)).value
 
 
-def test_surface_batches_closed_forms_only(monkeypatch):
-    calls = {"infer_batch": 0, "infer": 0, "ref": 0}
+def count_surface_calls(monkeypatch) -> dict[str, int]:
+    """Count firing passes, row sums and per-point inferences from here on."""
+    calls = {"firing": 0, "row_fsum": 0, "infer": 0, "ref": 0}
 
     def counting(key, fn):
-        def wrapper(self, arg):
+        def wrapper(*args):
             calls[key] += 1
-            return fn(self, arg)
+            return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(ClosedFormEngine, "infer_batch",
-                        counting("infer_batch", ClosedFormEngine.infer_batch))
+    monkeypatch.setattr(ClosedFormEngine, "_firing_batch",
+                        counting("firing", ClosedFormEngine._firing_batch))
+    monkeypatch.setattr(engine_mod, "_row_fsum", counting("row_fsum", engine_mod._row_fsum))
     monkeypatch.setattr(ClosedFormEngine, "infer", counting("infer", ClosedFormEngine.infer))
     monkeypatch.setattr(ReferenceEngine, "infer", counting("ref", ReferenceEngine.infer))
+    return calls
+
+
+def test_surface_batches_closed_forms_only(monkeypatch):
+    calls = count_surface_calls(monkeypatch)
     lines = generate_surface(RB, SurfaceSpec(
         grid=3, engines=("gc-closed", "nt-closed-exact", "gc-ref")))
     assert len(lines) == 1 + 9
-    assert calls == {"infer_batch": 2, "infer": 0, "ref": 9}
+    assert calls == {"firing": 2, "row_fsum": 4, "infer": 0, "ref": 9}
+
+
+def test_surface_fires_once_per_bound_source(monkeypatch):
+    # The perfbench surface op's six tokens: per bound source one firing
+    # pass, one denominator shared by the gc forms, one for nt, and one
+    # numerator per form.
+    tokens = tuple(f"{f}{s}" for s in ("", "-exact")
+                   for f in ("gc-closed", "gc-closed-split", "nt-closed"))
+    rb = split_rulebase(RB)
+    want = generate_surface(rb, SurfaceSpec(grid=5, engines=tokens[:1]))
+    calls = count_surface_calls(monkeypatch)
+    lines = generate_surface(rb, SurfaceSpec(grid=5, engines=tokens))
+    assert calls == {"firing": 2, "row_fsum": 10, "infer": 0, "ref": 0}
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        line.split(",") for line in want[1:]]
+
+
+def test_surface_planted_nan_engine_skips_the_batch(monkeypatch):
+    # perfbench's self-check plants an engine that is no ClosedFormEngine
+    # and returns NaN; its column must come from its own infer.
+    calls = count_surface_calls(monkeypatch)
+    monkeypatch.setattr(cli, "build_engine",
+                        lambda rb, token, ref=None: ConstantEngine(math.nan))
+    lines = generate_surface(RB, SurfaceSpec(grid=3, engines=("gc-closed", "nt-closed")))
+    assert calls["firing"] == 0
+    assert all(line.endswith(",nan,nan") for line in lines[1:])
 
 
 def test_surface_deterministic_bytes(tmp_path):
@@ -116,6 +150,14 @@ def test_surface_multi_engine(tmp_path):
     for line in lines[1:]:
         cells = line.split(",")
         assert abs(float(cells[2]) - float(cells[3])) <= 1e-3
+
+
+def test_surface_strips_engine_tokens(tmp_path):
+    out = tmp_path / "pair.csv"
+    rc = main(["surface", "--grid", "3", "--engine", "gc-closed, nt-closed-exact ",
+               "--out", str(out)])
+    assert rc == 0
+    assert out.read_text().splitlines()[0] == "x1,x2,gc-closed,nt-closed-exact"
 
 
 def test_surface_rejects_bad_engine(tmp_path, capsys):
@@ -361,6 +403,16 @@ def test_bench_single_engine_no_speedup(tmp_path):
     report = json.loads(out.read_text())
     assert "speedup" not in report
     assert report["engines"]["gc-closed"]["count"] == 30
+
+
+def test_bench_strips_engine_tokens(tmp_path):
+    out = tmp_path / "bench.json"
+    rc = main(["bench", "--probes", "20", "--engine", "gc-closed, gc-ref",
+               "--out", str(out)])
+    assert rc == 0
+    report = json.loads(out.read_text())
+    assert sorted(report["engines"]) == ["gc-closed", "gc-ref"]
+    assert set(report["speedup"]) == {"gc"}
 
 
 def test_bench_rejects_zero_probes(capsys):

@@ -20,7 +20,7 @@ from it2fuzz import (
     default_rulebase,
 )
 from it2fuzz.cli import build_engine, lcg_probes
-from it2fuzz.engine import _row_fsum
+from it2fuzz.engine import _row_fsum, infer_batches
 
 from helpers import (collapsed_rulebase, huge_split_rulebase, partly_collapsed_rulebase,
                      split_rulebase, uneven_rulebase)
@@ -279,6 +279,40 @@ def test_infer_batch_empty_and_wrong_shape():
     for bad in (np.zeros((3, 1)), np.zeros((3, 3)), np.zeros(2), np.zeros((1, 2, 1))):
         with pytest.raises(ValueError, match="expected an"):
             engine.infer_batch(bad)
+
+
+@pytest.mark.parametrize("suffix", ["", "-exact"])
+def test_infer_batches_keeps_rule_bases_apart(suffix):
+    # Same bound source, two rule bases, interleaved: a firing pass shared
+    # across rule bases would hand one base's firing to the other.
+    demo, partly = RB, partly_collapsed_rulebase()
+    engines = [build_engine(rb, token + suffix) for rb, token in (
+        (demo, "gc-closed"), (partly, "gc-closed"), (demo, "nt-closed"),
+        (partly, "gc-closed-split"), (partly, "nt-closed"))]
+    results = infer_batches(engines, np.array(BATCH_POINTS))
+    assert len(results) == len(engines)
+    for engine, (values, degenerate) in zip(engines, results):
+        assert degenerate.any() and not degenerate.all()
+        for x, v, d in zip(BATCH_POINTS, values.tolist(), degenerate.tolist()):
+            r = engine.infer(x)
+            assert (v.hex(), d) == (r.value.hex(), r.degenerate), (engine.cfg, x)
+
+
+def test_infer_batches_edge_cases(monkeypatch):
+    assert infer_batches([], np.zeros((3, 2))) == []
+    engines = [build_engine(split_rulebase(RB), t) for t in CLOSED_TOKENS]
+    for values, degenerate in infer_batches(engines, np.empty((0, 2))):
+        assert values.shape == degenerate.shape == (0,)
+        assert values.dtype == np.float64 and degenerate.dtype == np.bool_
+    passes = []
+    monkeypatch.setattr(ClosedFormEngine, "_firing_batch",
+                        lambda self, X: passes.append(X) or (None, None))
+    # The first engine takes 2 inputs, the second 3: neither fires.
+    mixed = [ClosedFormEngine(RB, CFG), ClosedFormEngine(uneven_rulebase(), CFG)]
+    for bad in (np.zeros((3, 2)), np.zeros((3, 3)), np.zeros(2)):
+        with pytest.raises(ValueError, match="expected an"):
+            infer_batches(mixed, bad)
+    assert passes == []
 
 
 # -- row sums ----------------------------------------------------------------

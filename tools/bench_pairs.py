@@ -2,22 +2,27 @@
 """Benchmark a parent commit against the working tree in alternating pairs.
 
     python3 tools/bench_pairs.py --parent <ref> --out BENCH_<n>.json
+    python3 tools/bench_pairs.py --parent <ref> --out layers.json --trace 1
 
 Run it from anywhere inside the repository.  The parent side is
 ``git archive <ref>`` unpacked into a temporary directory, the change side
 a copy of this working tree's files (tracked and untracked, less what
 git ignores) into a sibling one, so both run from fresh directories on
 the same file system.  Pair k (k = 1..10) runs
-``perfbench/run.py --workload all --seed k --trace 0`` on both sides, the
+``perfbench/run.py --workload all --seed k --trace T`` on both sides, the
 parent first in odd pairs and the change first in even ones; one more
 pair runs the holdout seed that perfbench reports in its environment
 record.  Every run lasts BENCHMARK.json's ``run_seconds`` per workload.
 
-The JSON written holds, for each workload and each end-to-end metric in
-BENCHMARK.json, each side's median and quartiles over the numbered pairs,
-how many of those pairs the change won (ties count for neither side), the
-holdout pair's values, every run's raw values, and perfbench's
-environment record of each side.
+With ``--trace 0`` (the default) the JSON written holds, for each
+workload and each end-to-end metric in BENCHMARK.json, each side's median
+and quartiles over the numbered pairs, how many of those pairs the change
+won (ties count for neither side), the holdout pair's values, every run's
+raw values, and perfbench's environment record of each side.  With
+``--trace 1`` the runs are perfbench's traced ones and the same summary
+covers BENCHMARK.json's per-layer metrics instead, less those that read
+0 in every run of a workload (a layer the workload never calls), so that
+a per-layer claim has a spread too.
 """
 
 from __future__ import annotations
@@ -38,11 +43,11 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 
 
-def run_side(tree: Path, seed: int, seconds: float) -> dict:
+def run_side(tree: Path, seed: int, seconds: float, trace: int) -> dict:
     """One ``--workload all`` run in a source tree: metrics, op counts, env."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
     last = json.loads(lines[-1])
@@ -62,6 +67,9 @@ def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="git ref of the parent side")
     p.add_argument("--out", required=True, help="JSON file to write")
+    p.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                   help="1: pair perfbench's traced runs and summarise the per-layer "
+                        "metrics (default 0: untraced runs, end-to-end metrics)")
     args = p.parse_args(argv)
     seconds = bench["run_seconds"]
 
@@ -88,12 +96,13 @@ def main(argv: list[str] | None = None) -> int:
             order = ("parent", "change") if k % 2 else ("change", "parent")
             for side in order:
                 t0 = time.perf_counter()
-                runs[side].append(run_side(trees[side], seed, seconds))
+                runs[side].append(run_side(trees[side], seed, seconds, args.trace))
                 print(f"pair {k}/{PAIRS + 1} seed {seed} {side}: "
                       f"{time.perf_counter() - t0:.0f} s", file=sys.stderr)
     holdout_seed = runs["parent"][-1]["seed"]
 
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    better = {m["name"]: m["better"]
+              for m in bench["per_layer" if args.trace else "end_to_end"]}
     workloads = {}
     for w in (wl["name"] for wl in bench["workloads"]):
         rows = {}
@@ -101,6 +110,8 @@ def main(argv: list[str] | None = None) -> int:
             key = f"{w}.{name}"
             par = [r["metrics"][key] for r in runs["parent"]]
             chg = [r["metrics"][key] for r in runs["change"]]
+            if not any(par + chg):
+                continue
             sign = 1.0 if direction == "lower" else -1.0
             pairs = list(zip(par[:-1], chg[:-1]))
             rows[name] = {
@@ -111,15 +122,15 @@ def main(argv: list[str] | None = None) -> int:
                 "parent_wins": sum(sign * (b - a) > 0 for a, b in pairs),
                 "holdout": {"seed": holdout_seed, "parent": par[-1], "change": chg[-1]},
             }
-            rows[name]["median_ratio"] = (rows[name]["change"]["median"]
-                                          / rows[name]["parent"]["median"])
+            base = rows[name]["parent"]["median"]
+            rows[name]["median_ratio"] = rows[name]["change"]["median"] / base if base else None
         workloads[w] = rows
     report = {
         "command": "python3 tools/bench_pairs.py " + " ".join(sys.argv[1:] if argv is None
                                                                else argv),
         "parent_ref": args.parent, "parent_sha": sha,
         "change": "working tree copy", "change_head": head, "change_modified": modified,
-        "pairs": PAIRS, "seconds": seconds,
+        "pairs": PAIRS, "seconds": seconds, "trace": args.trace,
         "order": "parent first in odd pairs, change first in even pairs",
         "env": {side: runs[side][0]["env"] for side in runs},
         "workloads": workloads,
