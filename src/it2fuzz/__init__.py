@@ -31,13 +31,8 @@ from .reference import (
     DomainTooNarrow,
     RefConfig,
     ReferenceEngine,
-    SampledCurve,
     ZeroArea,
-    ZeroMass,
-    build_output_fou,
     coa_decomposition_check,
-    coa_defuzz,
-    nt_defuzz,
 )
 from .pendulum import (
     ACTUATOR_RATE,
@@ -64,8 +59,7 @@ __all__ = [
     "BoundSource", "ClosedFormEngine", "EngineConfig", "FiringInterval",
     "Form", "InferenceResult",
     "DomainTooNarrow", "RefConfig", "ReferenceEngine",
-    "SampledCurve", "ZeroArea", "ZeroMass", "build_output_fou",
-    "coa_decomposition_check", "coa_defuzz", "nt_defuzz",
+    "ZeroArea", "coa_decomposition_check",
     "ACTUATOR_RATE", "GRAVITY", "RK4_MAX_STEP", "LoopConfig", "NumericalBlowup",
     "SimTrace", "controller_step", "plant_derivatives",
     "settle_time", "simulate", "write_trace_csv",

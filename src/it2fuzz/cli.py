@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import statistics
 import sys
@@ -128,6 +129,8 @@ class SurfaceSpec:
         lo, hi = self.axis_range
         if not lo < hi:
             raise ValueError(f"bad axis range ({lo}, {hi})")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"axis range ends must be finite, got ({lo}, {hi})")
         if not self.engines:
             raise ValueError("at least one engine required")
 

@@ -45,11 +45,10 @@ every row.  It computes the regular rows in numpy: bounds are evaluated
 once per distinct input value, products and terms are numpy arithmetic
 in the same order, and the row sums are numpy error-free transformations
 whose result is proven equal to ``math.fsum``'s, with ``math.fsum``
-itself on any row the proof does not cover.  Every other row (flagged,
-or on the edge of being flagged) comes from the engine's compiled
-``infer``, so the kernel alone defines a flagged result.  ``infer`` stays the path for serial
-callers such as the pendulum loop, where a one-row batch would cost
-more than the inference.
+itself on any row the proof does not cover.  Every flagged row comes
+from the engine's compiled ``infer``, so the kernel alone defines a
+flagged result.  ``infer`` stays the path for serial callers such as the
+pendulum loop, where a one-row batch would cost more than the inference.
 
 Degenerate cases are flagged, never raised: a collapsed FOU band falls
 back to the upper-firing average, and an input that fires nothing gives
@@ -237,9 +236,8 @@ def infer_batches(engines: Sequence[ClosedFormEngine],
     products and the form's terms are elementwise numpy arithmetic in the
     per-call order, and every row sum equals ``math.fsum``'s
     (``_row_fsum``), so no result depends on how rows are batched or
-    engines grouped.  Every other row (a collapsed band, no firing, a
-    non-finite input, a gc denominator of exactly the epsilon) is that
-    engine's compiled ``infer`` of the row.
+    engines grouped.  Every other row (a collapsed band, no firing or a
+    non-finite input) is that engine's compiled ``infer`` of the row.
 
     The gain comes from rows sharing column values, as on a Cartesian
     grid, where each bound runs once per axis value instead of once per
@@ -348,7 +346,7 @@ def _kernel_code(shape: tuple[int, ...], ante: tuple[tuple[int, ...], ...],
         terms = tup("cu{r} * u{r}", "-cl{r} * l{r}") if split else tup("c{r} * d{r}")
         # A collapsed band falls back to the upper-firing average.
         body += [f"den = fsum({tup('d{r}')})",
-                 "if not den >= EPS:",
+                 "if not den > EPS:",
                  f"    uden = fsum({tup('u{r}')})",
                  "    if not uden > EPS:",
                  "        return NOFIRE",

@@ -70,10 +70,6 @@ class ScaledGaussian:
         if not 0.0 < self.scale <= 1.0:
             raise ValueError(f"scale must lie in (0, 1], got {self.scale}")
 
-    def __call__(self, x: float) -> float:
-        z = (x - self.mean) / self.sigma
-        return self.scale * math.exp(-0.5 * z * z)
-
     def sample(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation over an array of abscissas."""
         z = (np.asarray(xs, dtype=float) - self.mean) / self.sigma
@@ -138,19 +134,6 @@ class IT2Gaussian:
             return (u.mean, u.mean, u.sigma, u.scale), (l.mean, l.mean, l.sigma, l.scale)
         return ((self.mean_lo, self.mean_hi, self.sigma_hi, 1.0),
                 (self.mean_lo, self.mean_hi, self.sigma_lo, 1.0))
-
-    def umf(self, x: float) -> float:
-        """Exact upper membership bound at a point; a NaN x fails the clamp, stays NaN."""
-        lo, hi, sigma, scale = self.bounds()[0]
-        z = (x - min(max(x, lo), hi)) / sigma
-        return scale * math.exp(-0.5 * z * z)
-
-    def lmf(self, x: float) -> float:
-        """Exact lower membership bound at a point."""
-        lo, hi, sigma, scale = self.bounds()[1]
-        zl, zh = (x - lo) / sigma, (x - hi) / sigma
-        z = zl if zl * zl >= zh * zh else zh
-        return scale * math.exp(-0.5 * z * z)
 
     def umf_samples(self, xs: np.ndarray) -> np.ndarray:
         return upper_bound(np.asarray(xs, dtype=float), *self.bounds()[0])

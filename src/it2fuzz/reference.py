@@ -7,8 +7,8 @@ weighted sums over the grid.  With singleton-like consequents (width well
 below the center spacing) the two defuzzifiers converge to the matching
 closed forms, which is exactly what the equivalence tests exercise:
 
-* ``coa_defuzz``  (centroid of the FOU band)      <-> ``gc-closed``
-* ``nt_defuzz``   (centroid of the band midline)  <-> ``nt-closed``
+* ``ReferenceEngine(method="gc")``, the FOU band's centroid   <-> ``gc-closed``
+* ``ReferenceEngine(method="nt")``, the band midline's centroid <-> ``nt-closed``
 
 Firing intervals come from ``ClosedFormEngine.fire``, so both pipelines
 share one firing step and differ only in what follows it.
@@ -33,24 +33,15 @@ from .rulebase import RuleBase
 
 __all__ = [
     "RefConfig",
-    "SampledCurve",
-    "build_output_fou",
-    "coa_defuzz",
-    "nt_defuzz",
     "coa_decomposition_check",
     "ReferenceEngine",
     "ZeroArea",
-    "ZeroMass",
     "DomainTooNarrow",
 ]
 
 
 class ZeroArea(ArithmeticError):
     """The FOU band has (numerically) zero area, so its centroid is undefined."""
-
-
-class ZeroMass(ArithmeticError):
-    """The midline curve has (numerically) zero mass, so its centroid is undefined."""
 
 
 class DomainTooNarrow(ValueError):
@@ -81,26 +72,6 @@ class RefConfig:
             raise ValueError("consequent_width must be positive")
 
 
-@dataclass(frozen=True, eq=False)
-class SampledCurve:
-    """A curve sampled on a uniform grid over ``domain``."""
-
-    domain: tuple[float, float]
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.ndim != 1 or vals.size < 2:
-            raise ValueError("need a 1-D curve with at least two samples")
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
-            raise ValueError("curve values must be finite and non-negative")
-
-    @property
-    def ys(self) -> np.ndarray:
-        return np.linspace(self.domain[0], self.domain[1], self.values.size)
-
-
 def _check_domain(centers: Sequence[float], ref: RefConfig) -> None:
     lo, hi = ref.domain
     margin = 5.0 * ref.consequent_width
@@ -120,57 +91,26 @@ def _centroid(ys: np.ndarray, curve: np.ndarray) -> float | None:
     return float(np.dot(ys, curve) / total)
 
 
-def build_output_fou(rb: RuleBase, ref: RefConfig,
-                     x: Sequence[float]) -> tuple[SampledCurve, SampledCurve]:
-    """Implied-and-aggregated output FOU at input x.
-
-    Returns (umf_curve, lmf_curve) on the configured grid.  Raises
-    DomainTooNarrow if any consequent center sits within five widths of a
-    domain edge (its Gaussian would be visibly truncated).
-    """
-    upper, lower = ReferenceEngine(rb, ref)._curves(x)
-    return SampledCurve(ref.domain, upper), SampledCurve(ref.domain, lower)
-
-
-def _require_same_grid(umf: SampledCurve, lmf: SampledCurve) -> None:
-    if umf.domain != lmf.domain or umf.values.size != lmf.values.size:
-        raise ValueError("curves must share one grid")
-
-
-def coa_defuzz(umf: SampledCurve, lmf: SampledCurve) -> float:
-    """Centroid of the FOU band by rectangle rule: sum y (u - l) / sum (u - l)."""
-    _require_same_grid(umf, lmf)
-    value = _centroid(umf.ys, umf.values - lmf.values)
-    if value is None:
-        raise ZeroArea(f"band area is at or below {DEGENERATE_EPSILON:.3e}")
-    return value
-
-
-def nt_defuzz(umf: SampledCurve, lmf: SampledCurve) -> float:
-    """Centroid of the band midline (u + l) / 2 by rectangle rule."""
-    _require_same_grid(umf, lmf)
-    value = _centroid(umf.ys, 0.5 * (umf.values + lmf.values))
-    if value is None:
-        raise ZeroMass(f"midline mass is at or below {DEGENERATE_EPSILON:.3e}")
-    return value
-
-
-def coa_decomposition_check(umf: SampledCurve, lmf: SampledCurve) -> tuple[float, float]:
+def coa_decomposition_check(ys: np.ndarray, upper: np.ndarray,
+                            lower: np.ndarray) -> tuple[float, float]:
     """Band centroid two ways: directly, and recombined from full-curve centroids.
 
-    Returns (lhs, rhs) where lhs integrates the band u - l and rhs is
-    (C_u A_u - C_l A_l) / (A_u - A_l) built from the centroids and areas
-    of the two curves separately.  The two agree up to rounding; when the
-    lower curve is identically zero the rhs degenerates to C_u.
+    ``upper`` and ``lower`` are curves sampled at ``ys``, such as
+    ``ReferenceEngine.curves(x)`` at ``ReferenceEngine.ys``.  Returns
+    (lhs, rhs) where lhs is the band u - l's centroid, as
+    ``ReferenceEngine(method="gc")`` computes it, and rhs is (C_u A_u -
+    C_l A_l) / (A_u - A_l) built from the centroids and areas of the two
+    curves separately.  The two agree up to rounding; when the lower curve
+    is identically zero the rhs degenerates to C_u.  Raises ZeroArea when
+    the band area is not above DEGENERATE_EPSILON.
     """
-    _require_same_grid(umf, lmf)
-    ys = umf.ys
-    dy = (umf.domain[1] - umf.domain[0]) / (umf.values.size - 1)
-    area_u = float(umf.values.sum()) * dy
-    area_l = float(lmf.values.sum()) * dy
-    cent_u = float(np.dot(ys, umf.values)) * dy / area_u if area_u > 0.0 else 0.0
-    cent_l = float(np.dot(ys, lmf.values)) * dy / area_l if area_l > 0.0 else 0.0
-    lhs = coa_defuzz(umf, lmf)
+    lhs = _centroid(ys, upper - lower)
+    if lhs is None:
+        raise ZeroArea(f"band area is not above {DEGENERATE_EPSILON:.3e}")
+    area_u = float(upper.sum())
+    area_l = float(lower.sum())
+    cent_u = float(np.dot(ys, upper)) / area_u if area_u > 0.0 else 0.0
+    cent_l = float(np.dot(ys, lower)) / area_l if area_l > 0.0 else 0.0
     rhs = (cent_u * area_u - cent_l * area_l) / (area_u - area_l)
     return lhs, rhs
 
@@ -179,11 +119,12 @@ class ReferenceEngine:
     """Discretized engine with the same infer(x) surface as the closed forms.
 
     ``method`` picks the defuzzifier: "gc" for the band centroid, "nt"
-    for the midline centroid.  The consequent matrix is input-independent
-    and cached at construction; every infer still does its full grid
-    sweep.  A collapsed band (gc), an empty midline (nt) or a non-finite
-    input yields a flagged zero instead of an exception, mirroring the
-    closed-form fallbacks' never-abort policy.
+    for the midline centroid.  ``curves(x)`` gives the output FOU that
+    ``infer(x)`` defuzzifies, sampled at ``ys``.  The consequent matrix is
+    input-independent and cached at construction; every infer still does
+    its full grid sweep.  A collapsed band (gc), an empty midline (nt) or
+    a non-finite input yields a flagged zero instead of an exception,
+    mirroring the closed-form fallbacks' never-abort policy.
     """
 
     def __init__(self, rb: RuleBase, ref: RefConfig | None = None, method: str = "gc"):
@@ -197,12 +138,12 @@ class ReferenceEngine:
         self.ref = ref
         self.method = method
         self._centers = centers
-        self._ys = np.linspace(ref.domain[0], ref.domain[1], ref.grid_points)
+        self.ys = np.linspace(ref.domain[0], ref.domain[1], ref.grid_points)
         # One unit-height Gaussian consequent row per rule, on the output grid.
-        z = (self._ys[None, :] - np.asarray(centers)[:, None]) / ref.consequent_width
+        z = (self.ys[None, :] - np.asarray(centers)[:, None]) / ref.consequent_width
         self._gmat = np.exp(-0.5 * z * z)
 
-    def _curves(self, x: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    def curves(self, x: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """Upper and lower output curves at x: firing times consequent rows, summed."""
         firing = self._closed.fire(x)
         centers = self._centers
@@ -220,9 +161,9 @@ class ReferenceEngine:
         return upper, lower
 
     def infer(self, x: Sequence[float]) -> InferenceResult:
-        upper, lower = self._curves(x)
+        upper, lower = self.curves(x)
         curve = upper - lower if self.method == "gc" else 0.5 * (upper + lower)
-        value = _centroid(self._ys, curve)
+        value = _centroid(self.ys, curve)
         if value is None:
             return InferenceResult(0.0, True)
         return InferenceResult(value, False)

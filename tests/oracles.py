@@ -181,7 +181,7 @@ def loop_infer(rb, form, fitted, x):
     cons_u = [r.consequent_upper for r in rb.rules] if split else cons
     diffs = [u - l for u, l in zip(ups, los)]
     den = math.fsum(diffs)
-    if not den >= eps:
+    if not den > eps:
         uden = math.fsum(ups)
         if not uden > eps:
             return 0.0, True

@@ -10,9 +10,9 @@ import numpy as np
 
 from it2fuzz import (BoundSource, ClosedFormEngine, EngineConfig, Form,
                      IT2Gaussian, LoopConfig, RefConfig, ReferenceEngine,
-                     build_output_fou, coa_decomposition_check,
-                     default_fit_window, default_rulebase, dump_rulebase,
-                     fit_bounds, settle_time, simulate)
+                     coa_decomposition_check, default_fit_window,
+                     default_rulebase, dump_rulebase, fit_bounds, settle_time,
+                     simulate)
 from it2fuzz.cli import build_engine, lcg_probes, main, run_bench
 
 import oracles
@@ -68,13 +68,12 @@ def test_criterion_2_reference_equivalence():
 
 def test_criterion_3_centroid_decomposition():
     t0 = time.perf_counter()
-    rb = default_rulebase()
-    ref = RefConfig()
+    engine = ReferenceEngine(default_rulebase(), RefConfig())
     axis = np.linspace(-1.0, 1.0, 5)
     for x1 in axis:
         for x2 in axis:
-            umf, lmf = build_output_fou(rb, ref, (x1, x2))
-            lhs, rhs = coa_decomposition_check(umf, lmf)
+            umf, lmf = engine.curves((x1, x2))
+            lhs, rhs = coa_decomposition_check(engine.ys, umf, lmf)
             assert abs(lhs - rhs) <= DECOMP_TOL
     assert time.perf_counter() - t0 < 5.0
 

@@ -43,6 +43,9 @@ def test_surface_spec_validation():
         SurfaceSpec(grid=1)
     with pytest.raises(ValueError):
         SurfaceSpec(axis_range=(1.0, -1.0))
+    for axis_range in ((-math.inf, 1.0), (-1.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            SurfaceSpec(axis_range=axis_range)
     with pytest.raises(ValueError):
         SurfaceSpec(engines=())
 

@@ -17,6 +17,7 @@ from it2fuzz import (
     Rule,
     RuleBase,
     RuleBaseInvalid,
+    ScaledGaussian,
     default_rulebase,
 )
 from it2fuzz.cli import build_engine, lcg_probes
@@ -166,6 +167,23 @@ def test_all_zero_firing_flags_degenerate_zero():
     assert ClosedFormEngine(RB, NT_CFG).infer((30.0, 30.0)) == (0.0, True)
 
 
+@pytest.mark.parametrize("form, flagged", [(Form.GC_CLOSED, True),
+                                           (Form.GC_CLOSED_SPLIT, True),
+                                           (Form.NT_CLOSED, False)])
+def test_gc_denominator_of_exactly_the_epsilon_is_degenerate(form, flagged):
+    # Fired (1e-12, 2e-12) at 0: the gc denominator is DEGENERATE_EPSILON
+    # itself, so the gc forms take the upper-firing average, flagged; the
+    # nt denominator 3e-12 is regular.
+    s = IT2Gaussian.uncertain_sigma(0.0, 0.3, 0.3).with_fitted(
+        ScaledGaussian(0.0, 0.3, 2e-12), ScaledGaussian(0.0, 0.3, 1e-12))
+    rb = RuleBase((Partition((-1.0, 1.0), (s,)),), (Rule((0,), 0.5, 0.5, 0.5),))
+    engine = ClosedFormEngine(rb, EngineConfig(form=form))
+    assert engine.fire((0.0,)) == [(1e-12, 2e-12)]
+    assert engine.infer((0.0,)) == (0.5, flagged)
+    values, degenerate = engine.infer_batch(np.array([[0.0]]))
+    assert (values.tolist(), degenerate.tolist()) == ([0.5], [flagged])
+
+
 def test_split_form_requires_split_consequents():
     with pytest.raises(ValueError):
         ClosedFormEngine(RB, SPLIT_CFG)
@@ -217,8 +235,9 @@ def test_fire_on_uneven_rulebase_is_the_ordered_product(source):
             for xi, p, a in zip(x, rb.partitions, rule.antecedent):
                 s = p.sets[a]
                 if source is BoundSource.FITTED:
-                    u *= s.fitted_umf(xi)
-                    l *= s.fitted_lmf(xi)
+                    g, h = s.fitted_umf, s.fitted_lmf
+                    u *= oracles.gauss(xi, g.mean, g.sigma, g.scale)
+                    l *= oracles.gauss(xi, h.mean, h.sigma, h.scale)
                 else:
                     u *= oracles.exact_umf(s, xi)
                     l *= oracles.exact_lmf(s, xi)

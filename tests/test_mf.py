@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from it2fuzz import (
+    BoundSource,
+    ClosedFormEngine,
+    EngineConfig,
     IT2Gaussian,
+    Partition,
+    Rule,
+    RuleBase,
     ScaledGaussian,
     default_fit_window,
     fit_bounds,
@@ -35,12 +41,21 @@ def fou(spread, sigma=0.418):
     return IT2Gaussian.uncertain_mean(-spread, spread, sigma)
 
 
+def kernel_bounds(m, xs):
+    """Exact (upper, lower) bounds of m at each of xs, through the compiled
+    kernel's ``fire`` on a one-input, one-set, one-rule base."""
+    rb = RuleBase((Partition((-1.0, 1.0), (m,)),), (Rule((0,), 0.0),))
+    fire = ClosedFormEngine(rb, EngineConfig(bound_source=BoundSource.EXACT)).fire
+    fired = [fire((x,))[0] for x in xs]
+    return [f.upper for f in fired], [f.lower for f in fired]
+
+
 def test_scaled_gaussian_point_values():
     g = ScaledGaussian(0.0, 0.418, 1.0)
-    assert g(0.0) == 1.0
-    assert g(0.418) == pytest.approx(math.exp(-0.5), abs=1e-15)
+    assert g.sample(0.0) == 1.0
+    assert g.sample(0.418) == pytest.approx(math.exp(-0.5), abs=1e-15)
     # the peak value is the scale itself, exactly
-    assert ScaledGaussian(0.0, 0.3651, 0.9183)(0.0) == 0.9183
+    assert ScaledGaussian(0.0, 0.3651, 0.9183).sample(0.0) == 0.9183
 
 
 @pytest.mark.parametrize("sigma,scale", [(0.0, 1.0), (-0.1, 1.0), (0.3, 0.0), (0.3, 1.2)])
@@ -59,7 +74,8 @@ def test_scaled_gaussian_rejects_non_finite_params(mean, sigma):
 def test_scaled_gaussian_sample_matches_scalar():
     g = ScaledGaussian(0.2, 0.5, 0.9)
     xs = np.linspace(-2.0, 2.0, 101)
-    assert np.allclose(g.sample(xs), [g(float(x)) for x in xs], rtol=0.0, atol=1e-15)
+    assert np.allclose(g.sample(xs), [oracles.gauss(float(x), 0.2, 0.5, 0.9) for x in xs],
+                       rtol=0.0, atol=1e-15)
 
 
 def test_fou_constructor_validation():
@@ -81,47 +97,45 @@ def test_fou_constructor_validation():
 
 
 def test_umf_plateau_and_shoulders():
-    m = fou(0.1)
-    assert m.umf(0.05) == 1.0
-    assert m.umf(-0.1) == 1.0 and m.umf(0.1) == 1.0
+    got = fou(0.1).umf_samples(np.array([0.05, -0.1, 0.1, 0.518, -0.518]))
+    assert got[:3].tolist() == [1.0, 1.0, 1.0]
     # one sigma past the plateau edge
-    assert m.umf(0.518) == pytest.approx(math.exp(-0.5), abs=1e-12)
-    assert m.umf(-0.518) == m.umf(0.518)
+    assert got[3] == pytest.approx(math.exp(-0.5), abs=1e-12)
+    assert got[4] == got[3]
 
 
 @pytest.mark.parametrize("m", [fou(0.1), fou(0.0),
                                IT2Gaussian.uncertain_sigma(0.2, 0.3, 0.5)])
 def test_exact_bounds_of_nan_are_nan(m):
-    assert math.isnan(m.umf(math.nan))
-    assert math.isnan(m.lmf(math.nan))
     got = m.umf_samples(np.array([-0.5, math.nan, 0.0, 0.5]))
     assert np.isnan(got[1]) and not np.isnan(got[[0, 2, 3]]).any()
     assert np.isnan(m.lmf_samples(np.array([math.nan]))[0])
 
 
 def test_lmf_is_min_of_edge_gaussians():
-    m = fou(0.1)
-    assert m.lmf(0.0) == pytest.approx(math.exp(-0.5 * (0.1 / 0.418) ** 2), abs=1e-15)
-    assert m.lmf(0.0) == pytest.approx(0.97179, abs=1e-5)
-    assert m.lmf(10.0) < 1e-50
+    at0, at10 = fou(0.1).lmf_samples(np.array([0.0, 10.0]))
+    assert at0 == pytest.approx(math.exp(-0.5 * (0.1 / 0.418) ** 2), abs=1e-15)
+    assert at0 == pytest.approx(0.97179, abs=1e-5)
+    assert at10 < 1e-50
 
 
 def test_uncertain_sigma_bounds():
     m = IT2Gaussian.uncertain_sigma(0.0, 0.3, 0.5)
-    assert m.umf(0.0) == 1.0 and m.lmf(0.0) == 1.0
-    assert m.umf(0.5) == pytest.approx(math.exp(-0.5), abs=1e-15)
-    assert m.lmf(0.3) == pytest.approx(math.exp(-0.5), abs=1e-15)
-    assert m.lmf(0.5) < m.umf(0.5)
+    xs = np.array([0.0, 0.3, 0.5])
+    u, l = m.umf_samples(xs), m.lmf_samples(xs)
+    assert u[0] == 1.0 and l[0] == 1.0
+    assert u[2] == pytest.approx(math.exp(-0.5), abs=1e-15)
+    assert l[1] == pytest.approx(math.exp(-0.5), abs=1e-15)
+    assert l[2] < u[2]
 
 
 @pytest.mark.parametrize("m", [fou(0.1), fou(0.125),
                                IT2Gaussian.uncertain_sigma(0.2, 0.3, 0.5)])
 def test_vectorized_bounds_match_scalar(m):
     xs = np.linspace(-2.0, 2.0, 401)
-    assert np.allclose(m.umf_samples(xs), [m.umf(float(x)) for x in xs],
-                       rtol=0.0, atol=1e-15)
-    assert np.allclose(m.lmf_samples(xs), [m.lmf(float(x)) for x in xs],
-                       rtol=0.0, atol=1e-15)
+    upper, lower = kernel_bounds(m, xs.tolist())
+    assert np.allclose(m.umf_samples(xs), upper, rtol=0.0, atol=1e-15)
+    assert np.allclose(m.lmf_samples(xs), lower, rtol=0.0, atol=1e-15)
 
 
 BOUND_SETS = (fou(0.1), IT2Gaussian.uncertain_mean(0.3, 0.55, 0.2), fou(0.0),
@@ -136,8 +150,9 @@ def test_exact_bounds_equal_the_kind_branched_oracle(m):
     xs = ([v for x in lcg_probes(10000) for v in x] + list(edges)
           + [math.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)]
           + [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300])
-    for got, want in ((m.umf, oracles.exact_umf), (m.lmf, oracles.exact_lmf)):
-        assert [got(x).hex() for x in xs] == [want(m, x).hex() for x in xs]
+    # The scalar bounds live only in the compiled kernel.
+    for got, want in zip(kernel_bounds(m, xs), (oracles.exact_umf, oracles.exact_lmf)):
+        assert [v.hex() for v in got] == [want(m, x).hex() for x in xs]
     arr = np.array(xs)
     with np.errstate(over="ignore"):
         for got, want in ((m.umf_samples, oracles.exact_umf_samples),
@@ -150,7 +165,8 @@ def test_exact_bounds_equal_the_kind_branched_oracle(m):
 @given(x=st.floats(-3.0, 3.0), spread=st.floats(0.0, 0.5), sigma=st.floats(0.05, 1.5))
 def test_lower_bound_never_exceeds_upper(x, spread, sigma):
     m = IT2Gaussian.uncertain_mean(-spread, spread, sigma)
-    assert m.lmf(x) <= m.umf(x)
+    xs = np.array([x])
+    assert m.lmf_samples(xs)[0] <= m.umf_samples(xs)[0]
 
 
 @pytest.mark.parametrize("m", [fou(0.1), fou(0.125),

@@ -17,14 +17,9 @@ from it2fuzz import (
     ReferenceEngine,
     Rule,
     RuleBase,
-    SampledCurve,
     ZeroArea,
-    ZeroMass,
-    build_output_fou,
     coa_decomposition_check,
-    coa_defuzz,
     default_rulebase,
-    nt_defuzz,
 )
 
 from helpers import collapsed_rulebase
@@ -43,32 +38,20 @@ def test_config_validation():
         RefConfig(consequent_width=0.0)
 
 
-def test_sampled_curve_validation():
-    with pytest.raises(ValueError):
-        SampledCurve((-1.0, 1.0), np.array([0.5]))
-    with pytest.raises(ValueError):
-        SampledCurve((-1.0, 1.0), np.array([0.1, -0.2, 0.3]))
-    with pytest.raises(ValueError):
-        SampledCurve((-1.0, 1.0), np.array([0.1, math.nan]))
-    c = SampledCurve((-1.0, 1.0), np.zeros(5))
-    assert c.ys[0] == -1.0 and c.ys[-1] == 1.0
-
-
 def test_consequent_rows_peak_at_centers():
     # a lone rule firing fully gives its unit consequent bump as the upper
     # curve; the 1e-3 grid spacing puts each center on a grid point
     ref = RefConfig(grid_points=3001, bound_source=BoundSource.EXACT)
     p = Partition((-1.0, 1.0), (IT2Gaussian.uncertain_mean(-0.1, 0.1, 0.4),))
     for c in (-1.0, 0.0, 1.0):
-        u, _ = build_output_fou(RuleBase((p,), (Rule((0,), c),)), ref, (0.0,))
-        assert u.ys[int(np.argmax(u.values))] == pytest.approx(c, abs=1e-3)
-        assert u.values.max() == pytest.approx(1.0, abs=1e-12)
+        engine = ReferenceEngine(RuleBase((p,), (Rule((0,), c),)), ref)
+        u, _ = engine.curves((0.0,))
+        assert engine.ys[int(np.argmax(u))] == pytest.approx(c, abs=1e-3)
+        assert u.max() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_domain_too_narrow_rejected():
     tight = RefConfig(domain=(-1.02, 1.5))  # center -1 is within 5 widths
-    with pytest.raises(DomainTooNarrow):
-        build_output_fou(RB, tight, (0.0, 0.0))
     with pytest.raises(DomainTooNarrow):
         ReferenceEngine(RB, tight)
 
@@ -84,19 +67,21 @@ def test_single_rule_fou_scales_with_firing():
     f = ClosedFormEngine(rb, EngineConfig(bound_source=BoundSource.EXACT)).fire((0.0,))[0]
     assert f.upper == 1.0
     assert f.lower == pytest.approx(0.5, abs=1e-12)
-    u, l = build_output_fou(rb, EXACT_REF, (0.0,))
-    assert np.array_equal(l.values, f.lower * u.values)
-    assert u.values.max() == pytest.approx(1.0, abs=1e-12)
+    engine = ReferenceEngine(rb, EXACT_REF)
+    u, l = engine.curves((0.0,))
+    assert np.array_equal(l, f.lower * u)
+    assert u.max() == pytest.approx(1.0, abs=1e-12)
     # fifty widths from the center the bump has fully underflowed
-    assert u.values[int(np.argmin(np.abs(u.ys - 0.5)))] == 0.0
-    assert coa_defuzz(u, l) == pytest.approx(0.0, abs=1e-12)
+    assert u[int(np.argmin(np.abs(engine.ys - 0.5)))] == 0.0
+    assert engine.infer((0.0,)).value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_three_bumps_from_demo_at_origin():
-    u, _ = build_output_fou(RB, REF, (0.0, 0.0))
+    engine = ReferenceEngine(RB, REF)
+    u, _ = engine.curves((0.0, 0.0))
 
     def at(y):
-        return u.values[int(np.argmin(np.abs(u.ys - y)))]
+        return u[int(np.argmin(np.abs(engine.ys - y)))]
 
     assert at(-1.0) > 0.1 and at(1.0) > 0.1
     # three rules share center 0, so their mass stacks above one
@@ -107,90 +92,78 @@ def test_three_bumps_from_demo_at_origin():
 def test_rule_order_does_not_change_curves():
     shuffled = RuleBase(RB.partitions, tuple(RB.rules[k] for k in
                                              (5, 2, 8, 0, 7, 4, 1, 6, 3)))
+    a, b = ReferenceEngine(RB, REF), ReferenceEngine(shuffled, REF)
     for x in ((1.0, 1.0), (0.25, -0.7)):
-        a_u, a_l = build_output_fou(RB, REF, x)
-        b_u, b_l = build_output_fou(shuffled, REF, x)
-        assert np.array_equal(a_u.values, b_u.values)
-        assert np.array_equal(a_l.values, b_l.values)
+        a_u, a_l = a.curves(x)
+        b_u, b_l = b.curves(x)
+        assert np.array_equal(a_u, b_u)
+        assert np.array_equal(a_l, b_l)
 
 
 def test_lower_curve_never_exceeds_upper():
+    engine = ReferenceEngine(RB, REF)
     for x in ((0.0, 0.0), (0.5, -0.5), (1.0, 1.0), (-0.3, 0.8)):
-        u, l = build_output_fou(RB, REF, x)
-        assert bool(np.all(l.values <= u.values))
+        u, l = engine.curves(x)
+        assert bool(np.all(l <= u))
 
 
 def test_triangle_centroid():
     ys = np.linspace(-0.7, 1.3, 10001)
     tri = np.maximum(0.0, 1.0 - np.abs(ys - 0.3))
-    u = SampledCurve((-0.7, 1.3), tri)
-    l = SampledCurve((-0.7, 1.3), np.zeros(ys.size))
-    assert coa_defuzz(u, l) == pytest.approx(0.3, abs=1e-12)
+    lhs, _ = coa_decomposition_check(ys, tri, np.zeros(ys.size))
+    assert lhs == pytest.approx(0.3, abs=1e-12)
 
 
 def test_uniform_band_centroid_is_domain_center():
-    u = SampledCurve((-1.0, 1.0), np.full(5001, 0.4))
-    l = SampledCurve((-1.0, 1.0), np.zeros(5001))
-    assert coa_defuzz(u, l) == pytest.approx(0.0, abs=1e-12)
+    ys = np.linspace(-1.0, 1.0, 5001)
+    lhs, _ = coa_decomposition_check(ys, np.full(ys.size, 0.4), np.zeros(ys.size))
+    assert lhs == pytest.approx(0.0, abs=1e-12)
 
 
 def test_collapsed_band_raises_zero_area_but_nt_still_works():
     rb = collapsed_rulebase()
-    u, l = build_output_fou(rb, EXACT_REF, (0.2, -0.1))
-    assert np.array_equal(u.values, l.values)
+    engine = ReferenceEngine(rb, EXACT_REF)
+    x = (0.2, -0.1)
+    u, l = engine.curves(x)
+    assert np.array_equal(u, l)
     with pytest.raises(ZeroArea):
-        coa_defuzz(u, l)
+        coa_decomposition_check(engine.ys, u, l)
     # midline centroid degenerates to the centroid of the single curve
-    expect = float(np.dot(u.ys, u.values) / u.values.sum())
-    assert nt_defuzz(u, l) == pytest.approx(expect, abs=1e-12)
-
-
-def test_empty_curves_raise_zero_mass():
-    z = SampledCurve((-1.0, 1.0), np.zeros(201))
-    with pytest.raises(ZeroMass):
-        nt_defuzz(z, z)
-    with pytest.raises(ZeroArea):
-        coa_defuzz(z, z)
-
-
-def test_defuzz_rejects_mismatched_grids():
-    a = SampledCurve((-1.0, 1.0), np.ones(101))
-    b = SampledCurve((-1.0, 1.0), np.ones(102))
-    c = SampledCurve((-2.0, 1.0), np.ones(101))
-    for other in (b, c):
-        with pytest.raises(ValueError):
-            coa_defuzz(a, other)
+    expect = float(np.dot(engine.ys, u) / u.sum())
+    value, degenerate = ReferenceEngine(rb, EXACT_REF, method="nt").infer(x)
+    assert value == pytest.approx(expect, abs=1e-12) and not degenerate
 
 
 def test_symmetric_band_centers_both_defuzzifiers():
-    u, l = build_output_fou(RB, REF, (0.0, 0.0))
-    assert coa_defuzz(u, l) == pytest.approx(0.0, abs=1e-12)
-    assert nt_defuzz(u, l) == pytest.approx(0.0, abs=1e-12)
+    for method in ("gc", "nt"):
+        value, degenerate = ReferenceEngine(RB, REF, method=method).infer((0.0, 0.0))
+        assert value == pytest.approx(0.0, abs=1e-12) and not degenerate
 
 
 def test_centroid_decomposition_identity():
+    engine = ReferenceEngine(RB, REF)
     for x in ((0.25, 0.75), (-0.6, 0.1), (1.0, 1.0)):
-        u, l = build_output_fou(RB, REF, x)
-        lhs, rhs = coa_decomposition_check(u, l)
+        lhs, rhs = coa_decomposition_check(engine.ys, *engine.curves(x))
         assert abs(lhs - rhs) <= 1e-9
 
 
 def test_decomposition_with_zero_lower_reduces_to_upper_centroid():
-    u, _ = build_output_fou(RB, REF, (0.25, 0.75))
-    zeros = SampledCurve(u.domain, np.zeros(u.values.size))
-    lhs, rhs = coa_decomposition_check(u, zeros)
-    expect = float(np.dot(u.ys, u.values) / u.values.sum())
+    engine = ReferenceEngine(RB, REF)
+    u, _ = engine.curves((0.25, 0.75))
+    lhs, rhs = coa_decomposition_check(engine.ys, u, np.zeros(u.size))
+    expect = float(np.dot(engine.ys, u) / u.sum())
     assert rhs == pytest.approx(expect, abs=1e-12)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
-def test_reference_engine_matches_pipeline_functions():
+def test_reference_engine_infers_the_centroid_of_its_curves():
     gc = ReferenceEngine(RB)
     nt = ReferenceEngine(RB, method="nt")
     for x in ((0.5, -0.5), (0.25, 0.75), (-1.0, -1.0)):
-        u, l = build_output_fou(RB, REF, x)
-        assert gc.infer(x) == (coa_defuzz(u, l), False)
-        assert nt.infer(x) == (nt_defuzz(u, l), False)
+        u, l = gc.curves(x)
+        mid = 0.5 * (u + l)
+        assert gc.infer(x) == (coa_decomposition_check(gc.ys, u, l)[0], False)
+        assert nt.infer(x) == (float(np.dot(nt.ys, mid) / mid.sum()), False)
 
 
 def test_reference_engine_flags_degenerate_instead_of_raising():
