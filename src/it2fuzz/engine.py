@@ -144,6 +144,7 @@ class ClosedFormEngine:
         self._fitted = fitted
         self._ante = tuple(r.antecedent for r in rb.rules)
         self._cons = tuple(r.consequent for r in rb.rules)
+        self._hull = (min(self._cons), max(self._cons))
         if rb.is_split:
             self._cons_u = tuple(r.consequent_upper for r in rb.rules)
             self._cons_l = tuple(r.consequent_lower for r in rb.rules)
@@ -153,7 +154,8 @@ class ClosedFormEngine:
         None: the structure's cached code run in globals of this engine's numbers."""
         ns = {"exp": math.exp, "fsum": math.fsum, "new": tuple.__new__,
               "IR": InferenceResult, "FI": FiringInterval, "EPS": DEGENERATE_EPSILON,
-              "NOFIRE": InferenceResult(0.0, True)}
+              "NOFIRE": InferenceResult(0.0, True), "CLO": self._hull[0],
+              "CHI": self._hull[1]}
         bounds = [s.bounds(self._fitted) for p in self.rb.partitions for s in p.sets]
         for k, pair in enumerate(bounds):
             for b, params in zip("ul", pair):
@@ -268,13 +270,20 @@ def infer_batches(engines: Sequence[ClosedFormEngine],
                 shared[nt] = weights, _row_fsum(weights)
             weights, den = shared[nt]
             ok = den > DEGENERATE_EPSILON
-            if e.cfg.form is Form.GC_CLOSED_SPLIT:
+            split = e.cfg.form is Form.GC_CLOSED_SPLIT
+            if split:
                 terms = np.hstack((np.array(e._cons_u) * ups[ok],
                                    -np.array(e._cons_l) * los[ok]))
             else:
                 terms = np.array(e._cons) * weights[ok]
+            v = _row_fsum(terms) / den[ok]
+            if not split:
+                # The kernel's clamp into the consequent hull.
+                lo, hi = e._hull
+                v[v < lo] = lo
+                v[v > hi] = hi
             values = np.zeros(len(X))
-            values[ok] = _row_fsum(terms) / den[ok]
+            values[ok] = v
             degenerate = ~ok
             for i in np.flatnonzero(degenerate).tolist():
                 values[i], degenerate[i] = e._infer(X[i].tolist())
@@ -332,6 +341,10 @@ def _kernel_code(shape: tuple[int, ...], ante: tuple[tuple[int, ...], ...],
 
     # A NaN input makes every sum NaN, and NaN fails every comparison:
     # each test is written so that it lands in the flagged branch.
+    # fl(c * w) / w can round one ulp past c when one rule carries all the
+    # weight, so a gc or nt value is clamped into the hull [CLO, CHI] of
+    # the consequents; a value inside it, or a NaN, passes unchanged.
+    clamp = "return new(IR, (CLO if v < CLO else CHI if v > CHI else v, False))"
     if form is None:
         body = [f"return [{', '.join(f'new(FI, (l{r}, u{r}))' for r in rules)}]"]
     elif form is Form.NT_CLOSED:
@@ -339,7 +352,7 @@ def _kernel_code(shape: tuple[int, ...], ante: tuple[tuple[int, ...], ...],
         body += [f"den = fsum({tup('s{r}')})",
                  "if not den > EPS:",
                  "    return NOFIRE",
-                 f"return new(IR, (fsum({tup('c{r} * s{r}')}) / den, False))"]
+                 f"v = fsum({tup('c{r} * s{r}')}) / den", clamp]
     else:
         split = form is Form.GC_CLOSED_SPLIT
         body = [f"d{r} = u{r} - l{r}" for r in rules]
@@ -351,8 +364,9 @@ def _kernel_code(shape: tuple[int, ...], ante: tuple[tuple[int, ...], ...],
                  "    if not uden > EPS:",
                  "        return NOFIRE",
                  f"    return new(IR, (fsum({tup('cu{r} * u{r}' if split else 'c{r} * u{r}')})"
-                 " / uden, True))",
-                 f"return new(IR, (fsum({terms}) / den, False))"]
+                 " / uden, True))"]
+        body += ([f"return new(IR, (fsum({terms}) / den, False))"] if split
+                 else [f"v = fsum({terms}) / den", clamp])
     name = "fire" if form is None else "infer"
     source = "\n".join([f"def {name}(x):"] + [f"    {line}" for line in head + body])
     return compile(source, "<it2fuzz kernel>", "exec")

@@ -180,6 +180,27 @@ def lower_exceeds_upper(umf: ScaledGaussian, lmf: ScaledGaussian, xs: np.ndarray
     return bool(np.any(lmf.sample(xs) > umf.sample(xs) + 1e-9))
 
 
+def lower_within_upper(umf: ScaledGaussian, lmf: ScaledGaussian) -> bool:
+    """Whether ``lmf <= umf`` at every real x, decided exactly, without sampling.
+
+    ln(lmf / umf) is a quadratic in x.  With sigma_l < sigma_u it is concave,
+    and its maximum ln(s_l / s_u) + (m_l - m_u)^2 / (2 (sigma_u^2 - sigma_l^2))
+    must not be above 0; with sigma_l == sigma_u it is linear, so the means
+    must be equal and s_l <= s_u; with sigma_l > sigma_u it grows without
+    bound.  Equal means reduce every allowed case to s_l <= s_u.
+    """
+    if lmf.sigma > umf.sigma:
+        return False
+    if lmf.mean == umf.mean:
+        return lmf.scale <= umf.scale
+    if lmf.sigma == umf.sigma:
+        return False
+    gap = lmf.mean - umf.mean
+    # The maximum above times 2 (sigma_u^2 - sigma_l^2) > 0, with no division.
+    spread = (umf.sigma - lmf.sigma) * (umf.sigma + lmf.sigma)
+    return gap * gap <= 2.0 * spread * (math.log(umf.scale) - math.log(lmf.scale))
+
+
 def _golden_min(f, lo: float, hi: float) -> float:
     """Golden-section minimum of a unimodal function on [lo, hi].
 

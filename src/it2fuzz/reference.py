@@ -22,6 +22,7 @@ consequent center their mass stacks rather than saturating.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -82,6 +83,25 @@ def _check_domain(centers: Sequence[float], ref: RefConfig) -> None:
             )
 
 
+@functools.lru_cache(maxsize=4)
+def _output_grid(centers: tuple[float, ...], domain: tuple[float, float], grid_points: int,
+                 width: float) -> tuple[np.ndarray, np.ndarray]:
+    """The output grid ``ys`` and one unit-height Gaussian consequent row per
+    center on it, both read-only.
+
+    They depend only on the arguments, so engines over the same centers and
+    grid share one pair; the few most recent layouts are kept.  A -0.0 and
+    a 0.0 center share an entry: a center reaches ``exp`` only through
+    ``z * z``, so both give the same row.
+    """
+    ys = np.linspace(domain[0], domain[1], grid_points)
+    z = (ys[None, :] - np.asarray(centers)[:, None]) / width
+    gmat = np.exp(-0.5 * z * z)
+    ys.flags.writeable = False
+    gmat.flags.writeable = False
+    return ys, gmat
+
+
 def _centroid(ys: np.ndarray, curve: np.ndarray) -> float | None:
     """Rectangle-rule centroid sum(y c) / sum(c), or None when the mass
     sum(c) is not above DEGENERATE_EPSILON (a NaN mass included)."""
@@ -121,8 +141,11 @@ class ReferenceEngine:
     ``method`` picks the defuzzifier: "gc" for the band centroid, "nt"
     for the midline centroid.  ``curves(x)`` gives the output FOU that
     ``infer(x)`` defuzzifies, sampled at ``ys``.  The consequent matrix is
-    input-independent and cached at construction; every infer still does
-    its full grid sweep.  A collapsed band (gc), an empty midline (nt) or
+    input-independent: engines over the same consequent centers and grid
+    share one, read-only, as they share the read-only ``ys``, and it is
+    built again only once its layout has left the small cache of recent
+    layouts (``_output_grid``).  Every infer still does its full grid
+    sweep.  A collapsed band (gc), an empty midline (nt) or
     a non-finite input yields a flagged zero instead of an exception,
     mirroring the closed-form fallbacks' never-abort policy.
     """
@@ -138,10 +161,8 @@ class ReferenceEngine:
         self.ref = ref
         self.method = method
         self._centers = centers
-        self.ys = np.linspace(ref.domain[0], ref.domain[1], ref.grid_points)
-        # One unit-height Gaussian consequent row per rule, on the output grid.
-        z = (self.ys[None, :] - np.asarray(centers)[:, None]) / ref.consequent_width
-        self._gmat = np.exp(-0.5 * z * z)
+        self.ys, self._gmat = _output_grid(tuple(centers), tuple(ref.domain),
+                                           ref.grid_points, ref.consequent_width)
 
     def curves(self, x: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """Upper and lower output curves at x: firing times consequent rows, summed."""

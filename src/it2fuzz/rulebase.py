@@ -9,10 +9,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-import numpy as np
-
 from .mf import (UNCERTAIN_MEAN, UNCERTAIN_SIGMA, IT2Gaussian, ScaledGaussian,
-                 lower_exceeds_upper)
+                 lower_within_upper)
 
 __all__ = [
     "Partition",
@@ -185,12 +183,11 @@ class RuleBase:
             if not all(c is None or math.isfinite(c) for c in cons):
                 out.append(Violation("non_finite", f"rule {pos} has a non-finite consequent"))
         for k, p in enumerate(self.partitions):
-            xs = np.linspace(p.universe[0], p.universe[1], 1001)
             for j, s in enumerate(p.sets):
                 umf, lmf = s.fitted_umf, s.fitted_lmf
                 if umf is None or lmf is None:
                     continue
-                if lower_exceeds_upper(umf, lmf, xs):
+                if not lower_within_upper(umf, lmf):
                     where = f"set {p.label(j)} of input {k}"
                     out.append(Violation("fitted_dominance",
                                          f"{where} has its fitted lower bound above the upper"))

@@ -176,7 +176,7 @@ def loop_infer(rb, form, fitted, x):
         den = math.fsum(sums)
         if not den > eps:
             return 0.0, True
-        return math.fsum(c * s for c, s in zip(cons, sums)) / den, False
+        return _into_hull(math.fsum(c * s for c, s in zip(cons, sums)) / den, cons), False
     split = form == "gc-closed-split"
     cons_u = [r.consequent_upper for r in rb.rules] if split else cons
     diffs = [u - l for u, l in zip(ups, los)]
@@ -190,7 +190,13 @@ def loop_infer(rb, form, fitted, x):
         terms = [c * u for c, u in zip(cons_u, ups)]
         terms.extend(-r.consequent_lower * l for r, l in zip(rb.rules, los))
         return math.fsum(terms) / den, False
-    return math.fsum(c * d for c, d in zip(cons, diffs)) / den, False
+    return _into_hull(math.fsum(c * d for c, d in zip(cons, diffs)) / den, cons), False
+
+
+def _into_hull(v, cons):
+    """v clamped into [min(cons), max(cons)]; a NaN v passes unchanged."""
+    lo, hi = min(cons), max(cons)
+    return lo if v < lo else hi if v > hi else v
 
 
 # Lattice fit oracle. Exhausts sigma in [0.05, 2.0] on a 1e-4 grid; for each

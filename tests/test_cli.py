@@ -191,7 +191,18 @@ def _middle_set(d, **fields):
     return d
 
 
-@pytest.mark.parametrize("mangle", [
+def _dominated_lmf(d):
+    """Sets N and P of input 0 with fitted umf (c, 0.5, 1.0) and lmf
+    (c + 0.1, 0.5, 0.3): equal sigmas, shifted means, so far enough out the
+    lower bound rises above the upper."""
+    for k, c in ((0, -1.0), (2, 1.0)):
+        d["inputs"][0]["sets"][k].update(
+            fitted_umf={"mean": c, "sigma": 0.5, "scale": 1.0},
+            fitted_lmf={"mean": c + 0.1, "sigma": 0.5, "scale": 0.3})
+    return d
+
+
+@pytest.mark.parametrize("mangle, code", [(m, "schema") for m in (
     lambda d: [d],
     lambda d: {**d, "rules": [{**d["rules"][0], "if": 5}] + d["rules"][1:]},
     lambda d: {**d, "inputs": 3},
@@ -207,11 +218,12 @@ def _middle_set(d, **fields):
     lambda d: {**d, "inputs": [{**d["inputs"][0], "universe": [-1, True]}] + d["inputs"][1:]},
     lambda d: _middle_set(d, sigma=math.inf),
     lambda d: _middle_set(d, mean_lo=-math.inf, mean_hi=math.inf),
-], ids=["top_level_list", "scalar_antecedent", "scalar_inputs", "nan_fitted_mean",
-        "reversed_universe", "unknown_kind", "float_antecedent", "bool_consequent",
-        "string_names", "string_sigma", "bool_fitted_scale", "bool_universe_end",
-        "infinite_sigma", "infinite_means"])
-def test_surface_rejects_malformed_rule_file(mangle, tmp_path, capsys):
+)] + [(_dominated_lmf, "fitted_dominance")],
+    ids=["top_level_list", "scalar_antecedent", "scalar_inputs", "nan_fitted_mean",
+         "reversed_universe", "unknown_kind", "float_antecedent", "bool_consequent",
+         "string_names", "string_sigma", "bool_fitted_scale", "bool_universe_end",
+         "infinite_sigma", "infinite_means", "fitted_dominance"])
+def test_surface_rejects_malformed_rule_file(mangle, code, tmp_path, capsys):
     d = rulebase_to_dict(default_rulebase())
     rules = tmp_path / "malformed.json"
     # 1e999 is valid JSON that reads as inf
@@ -219,7 +231,7 @@ def test_surface_rejects_malformed_rule_file(mangle, tmp_path, capsys):
     rc = main(["surface", "--rules", str(rules), "--out",
                str(tmp_path / "x.csv")])
     assert rc == 2
-    assert "error: invalid rule base:\n  [schema] " in capsys.readouterr().err
+    assert f"error: invalid rule base:\n  [{code}] " in capsys.readouterr().err
 
 
 def test_surface_validates_rule_base_once(monkeypatch, capsys):

@@ -150,6 +150,30 @@ def test_output_stays_in_consequent_hull(x1, x2):
             assert lo <= r.value <= hi
 
 
+def lone_rule_rulebase() -> RuleBase:
+    """One input, sets (-0.9, -0.8) and (0.8, 0.9) at sigma 0.01, consequents
+    -+c: near x = 0.85 the second rule carries all the weight."""
+    c = 0.9303207321598945
+    p = Partition((-1.0, 1.0), (IT2Gaussian.uncertain_mean(-0.9, -0.8, 0.01),
+                               IT2Gaussian.uncertain_mean(0.8, 0.9, 0.01)))
+    return RuleBase((p,), (Rule((0,), -c), Rule((1,), c)))
+
+
+@pytest.mark.parametrize("form", [Form.GC_CLOSED, Form.NT_CLOSED])
+def test_lone_rule_value_stays_in_the_hull(form):
+    # The value there is fl(c * w) / w, one ulp above c at 1,077 of these
+    # points unless the engine clamps it into the hull.
+    rb = lone_rule_rulebase()
+    c = rb.rules[1].consequent
+    engine = ClosedFormEngine(rb, EngineConfig(form=form, bound_source=BoundSource.EXACT))
+    X = np.linspace(0.75, 0.95, 20001)[:, None]
+    values, degenerate = engine.infer_batch(X)
+    assert not degenerate.any()
+    assert -c <= values.min() and values.max() == c
+    assert [engine.infer(x) for x in X.tolist()] == list(zip(values.tolist(),
+                                                             degenerate.tolist()))
+
+
 def test_collapsed_fou_falls_back_to_type1():
     rb = collapsed_rulebase()
     ncfg = EngineConfig(form=Form.NT_CLOSED, bound_source=BoundSource.EXACT)

@@ -22,6 +22,8 @@ from it2fuzz import (
     default_rulebase,
 )
 
+from it2fuzz.reference import _output_grid
+
 from helpers import collapsed_rulebase
 
 RB = default_rulebase()
@@ -215,3 +217,89 @@ def test_error_does_not_grow_as_width_halves():
                         for p in probes))
     assert all(b <= a + 1e-9 for a, b in zip(errs, errs[1:]))
     assert errs[-1] <= 1e-3
+
+
+def _grid_and_matrix(centers, ref):
+    """The output grid and consequent rows, by ``ReferenceEngine``'s formula."""
+    ys = np.linspace(ref.domain[0], ref.domain[1], ref.grid_points)
+    z = (ys[None, :] - np.asarray(centers)[:, None]) / ref.consequent_width
+    return ys, np.exp(-0.5 * z * z)
+
+
+def _expected_curves(engine, x):
+    """``curves(x)`` over a matrix built here, in the engine's rule order."""
+    centers = [r.consequent for r in engine.rb.rules]
+    ys, gmat = _grid_and_matrix(centers, engine.ref)
+    firing = ClosedFormEngine(engine.rb, EngineConfig(
+        bound_source=engine.ref.bound_source)).fire(x)
+    upper, lower = np.zeros(len(ys)), np.zeros(len(ys))
+    for k in sorted(range(len(centers)),
+                    key=lambda k: (centers[k], firing[k].lower, firing[k].upper)):
+        upper += firing[k].upper * gmat[k]
+        lower += firing[k].lower * gmat[k]
+    return ys, upper, lower
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_engines_over_equal_centers_share_one_matrix():
+    engines = [ReferenceEngine(rb, ref, method)
+               for rb in (RB, default_rulebase())
+               for ref in (REF, EXACT_REF) for method in ("gc", "nt")]
+    engines.append(ReferenceEngine(collapsed_rulebase(), EXACT_REF))
+    for e in engines[1:]:
+        assert e._gmat is engines[0]._gmat
+        assert e.ys is engines[0].ys
+
+
+@pytest.mark.parametrize("change", ["center", "grid", "domain", "width"])
+def test_a_different_layout_gets_its_own_matrix(change):
+    rb, ref = RB, REF
+    if change == "center":
+        rules = (Rule(RB.rules[0].antecedent, 0.95),) + RB.rules[1:]
+        rb = RuleBase(RB.partitions, rules)
+    else:
+        ref = {"grid": RefConfig(grid_points=5001), "domain": RefConfig(domain=(-2.0, 2.0)),
+               "width": RefConfig(consequent_width=0.02)}[change]
+    base, other = ReferenceEngine(RB, REF), ReferenceEngine(rb, ref)
+    assert other._gmat is not base._gmat
+    ys, gmat = _grid_and_matrix([r.consequent for r in rb.rules], ref)
+    assert _same_bits(other.ys, ys) and _same_bits(other._gmat, gmat)
+
+
+def test_shared_arrays_are_read_only():
+    engine = ReferenceEngine(RB, REF)
+    with pytest.raises(ValueError):
+        engine.ys[0] = 0.0
+    with pytest.raises(ValueError):
+        engine._gmat[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        engine._gmat *= 2.0
+    with pytest.raises(ValueError):
+        np.add(engine.ys, 1.0, out=engine.ys)
+
+
+@pytest.mark.parametrize("ref", [REF, EXACT_REF], ids=["fitted", "exact"])
+def test_curves_equal_a_matrix_built_here(ref):
+    engine = ReferenceEngine(RB, ref)
+    for x in ((0.0, 0.0), (0.3, -0.7), (-1.0, 0.25), (-0.0, 0.9)):
+        ys, upper, lower = _expected_curves(engine, x)
+        u, l = engine.curves(x)
+        assert _same_bits(engine.ys, ys)
+        assert _same_bits(u, upper) and _same_bits(l, lower)
+
+
+def test_more_layouts_than_the_cache_holds_still_infer_correctly():
+    widths = [0.01 + 0.001 * k for k in range(_output_grid.cache_info().maxsize + 2)]
+    engines = [ReferenceEngine(RB, RefConfig(consequent_width=w)) for w in widths]
+    # The first layouts are evicted by now; their engines keep their arrays,
+    # and a new engine over one of them builds it again.
+    engines.append(ReferenceEngine(RB, RefConfig(consequent_width=widths[0])))
+    x = (0.3, -0.7)
+    for e in engines:
+        _, upper, lower = _expected_curves(e, x)
+        u, l = e.curves(x)
+        assert _same_bits(u, upper) and _same_bits(l, lower)
+    assert engines[-1].infer(x) == engines[0].infer(x)

@@ -3,6 +3,7 @@
 import math
 from importlib.resources import files
 
+import numpy as np
 import pytest
 
 from it2fuzz import (
@@ -136,6 +137,30 @@ def test_swapped_fitted_sigmas_reported():
     assert [v.code for v in bad.validate()] == ["fitted_dominance"]
     with pytest.raises(RuleBaseInvalid):
         ClosedFormEngine(bad)
+
+
+@pytest.mark.parametrize("umf, lmf, clean", [
+    # Equal means: allowed exactly when sigma_l <= sigma_u and s_l <= s_u.
+    ((0.0, 0.5, 1.0), (0.0, 0.5, 1.0), True),
+    ((0.0, 0.5, 0.8), (0.0, 0.3, 0.8), True),
+    ((0.0, 0.5, 0.8), (0.0, 0.5, 0.9), False),
+    # Equal sigmas, shifted means: lmf / umf grows without bound on one side.
+    ((0.0, 0.5, 1.0), (0.1, 0.5, 0.3), False),
+    # sigma_l < sigma_u: the shift must fit under the scale gap.
+    ((0.0, 0.5, 1.0), (0.1, 0.3, 0.5), True),
+    ((0.0, 0.5, 1.0), (0.5, 0.4, 0.9), False),
+    # sigma_l > sigma_u: lmf wins far out, however small its scale.
+    ((0.0, 0.5, 1.0), (0.0, 0.6, 1e-6), False),
+], ids=["equal", "narrower_lower", "higher_lower_scale", "equal_sigma_shift",
+        "shift_within_gap", "shift_beyond_gap", "wider_lower"])
+def test_fitted_dominance_holds_on_the_whole_line(umf, lmf, clean):
+    umf, lmf = ScaledGaussian(*umf), ScaledGaussian(*lmf)
+    rb = default_rulebase()
+    bad = _with_first_set(rb, rb.partitions[0].sets[0].with_fitted(umf, lmf))
+    assert [v.code for v in bad.validate()] == ([] if clean else ["fitted_dominance"])
+    # Each violation shows within |x| <= 20, mostly outside the universe.
+    xs = np.linspace(-20.0, 20.0, 40001)
+    assert bool(np.all(lmf.sample(xs) <= umf.sample(xs))) == clean
 
 
 def test_partition_rejects_disordered_centers():

@@ -23,6 +23,13 @@ first on the path, and prints one sha1 per key:
   same probes widened to three inputs or cut to one, and a partly
   collapsed one (``partly_collapsed_base``), whose regular, upper-average
   and no-firing rows interleave;
+* ``ref/...``: ``float.hex`` and flag of every ``infer`` of ``gc-ref``,
+  ``nt-ref``, ``gc-ref-exact`` and ``nt-ref-exact`` on the demo over
+  ``lcg_probes(200)``, signed zeros, infinities and NaN, and on the rule
+  bases of perfbench's first 20 ``design`` ops at seed 1 (``design_base``)
+  over each op's probes and the same special points.  All of them are
+  built in one process and share consequent centers, so the engines after
+  the first take the reference's cached consequent matrix;
 * ``samples/...``: the bytes of ``umf_samples`` and ``lmf_samples`` on the
   default fit grid (``default_fit_window``, 1001 points) of each ``fit/``
   FOU below and of three uncertain-sigma sets (``SIGMA_FOUS``);
@@ -58,6 +65,8 @@ TRACE_STARTS = ((0.1, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, 0.4), (-0.25, -0.3)
 SPECIAL_POINTS = ((0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (30.0, -30.0),
                   (math.inf, 0.2), (-0.4, -math.inf), (math.nan, 0.1), (0.3, math.nan))
 
+REF_TOKENS = ("gc-ref", "nt-ref", "gc-ref-exact", "nt-ref-exact")
+REF_DESIGN_OPS = 20
 FIT_SPREADS = tuple(k / 100 for k in range(21))
 SIGMA_FOUS = ((0.0, 0.2, 0.35), (-0.4, 0.3, 0.3), (0.7, 0.05, 0.6))
 
@@ -114,6 +123,23 @@ def partly_collapsed_base():
     return split_rulebase(RuleBase((p, p), demo_like_rulebase().rules))
 
 
+def design_base(layout, dmu, sigma):
+    """The rule base a perfbench ``design`` op builds, as ``DesignWorkload.run``
+    does: one uncertain-mean FOU fitted at 0 and moved to each set's center."""
+    from it2fuzz import IT2Gaussian, Partition, RuleBase, ScaledGaussian
+    from it2fuzz.mf import fit_bounds
+
+    umf, lmf = fit_bounds(IT2Gaussian.uncertain_mean(-dmu, dmu, sigma))
+    parts = tuple(
+        Partition(p.universe, tuple(
+            IT2Gaussian.uncertain_mean(s.center - dmu, s.center + dmu, sigma).with_fitted(
+                ScaledGaussian(s.center + umf.mean, umf.sigma, umf.scale),
+                ScaledGaussian(s.center + lmf.mean, lmf.sigma, lmf.scale))
+            for s in p.sets), p.names)
+        for p in layout.partitions)
+    return RuleBase(parts, layout.rules)
+
+
 def dump() -> dict[str, str]:
     """Keyed sha1s of this process's ``it2fuzz`` outputs (see the module doc)."""
     import numpy as np
@@ -160,6 +186,17 @@ def dump() -> dict[str, str]:
         design = DesignWorkload(1, tmp)
         fous = [(d, 0.418) for d in FIT_SPREADS]
         fous += [design.make_input(k)[:2] for k in range(60)]
+
+    ref_cases = {"demo": (demo, cli.lcg_probes(200) + list(SPECIAL_POINTS))}
+    for k in range(REF_DESIGN_OPS):
+        dmu, sigma, probes = design.make_input(k)
+        ref_cases[f"design-1/{k}"] = (design_base(design.layout, dmu, sigma),
+                                      probes + list(SPECIAL_POINTS))
+    for base, (rb, xs) in ref_cases.items():
+        for token in REF_TOKENS:
+            engine = cli.build_engine(rb, token)
+            out[f"ref/{base}/{token}"] = _sha1(",".join(
+                f"{r.value.hex()}:{r.degenerate}" for r in map(engine.infer, xs)))
 
     points = cli.lcg_probes(2000) + list(SPECIAL_POINTS)
     cases = {base: (rb, points) for base, rb in bases.items()}
