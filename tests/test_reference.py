@@ -21,7 +21,6 @@ from it2fuzz import (
     coa_decomposition_check,
     default_rulebase,
 )
-
 from it2fuzz.reference import _output_grid
 
 from helpers import collapsed_rulebase
@@ -292,11 +291,12 @@ def test_curves_equal_a_matrix_built_here(ref):
 
 
 def test_more_layouts_than_the_cache_holds_still_infer_correctly():
-    widths = [0.01 + 0.001 * k for k in range(_output_grid.cache_info().maxsize + 2)]
+    widths = [0.011 + 0.001 * k for k in range(_output_grid.cache_info().maxsize + 2)]
     engines = [ReferenceEngine(RB, RefConfig(consequent_width=w)) for w in widths]
     # The first layouts are evicted by now; their engines keep their arrays,
     # and a new engine over one of them builds it again.
     engines.append(ReferenceEngine(RB, RefConfig(consequent_width=widths[0])))
+    assert engines[-1]._gmat is not engines[0]._gmat
     x = (0.3, -0.7)
     for e in engines:
         _, upper, lower = _expected_curves(e, x)
