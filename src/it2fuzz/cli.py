@@ -3,11 +3,12 @@
 Engine modes are named ``gc-closed``, ``gc-closed-split``, ``nt-closed``,
 ``gc-ref``, ``nt-ref``, each optionally suffixed ``-exact`` or ``-fitted``
 to pick the membership bound source (fitted is the default).
+``<family>-ref`` is the sampled twin of ``<family>-closed``, of one config.
 
-Exit codes: 0 success, 2 validation or argument problems (a run or fit
-too large to allocate among them), 3 numeric failure (simulation
-blowup).  Relative output paths are resolved against
-$IT2FUZZ_OUT_DIR when that variable is set.
+Exit codes: 0 success, 2 validation or argument problems (among them a
+run or fit too large to allocate and an unusable input or output path),
+3 numeric failure (simulation blowup).  Relative output paths are
+resolved against $IT2FUZZ_OUT_DIR when that variable is set.
 
 The bench probe stream is a fixed linear congruential generator,
 state' = (1664525 * state + 1013904223) mod 2^32 from seed 123456789,
@@ -26,7 +27,7 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,6 @@ __all__ = ["SurfaceSpec", "parse_engine_mode", "build_engine", "generate_surface
 
 OUT_DIR_ENV = "IT2FUZZ_OUT_DIR"
 
-_REF_METHODS = {"gc-ref": "gc", "nt-ref": "nt"}
 # Inferences run before the timed ones in run_bench.
 BENCH_WARMUP = 100
 
@@ -65,11 +65,15 @@ def parse_engine_mode(token: str) -> tuple[str, BoundSource]:
         base, source = base[: -len("-exact")], BoundSource.EXACT
     elif base.endswith("-fitted"):
         base = base[: -len("-fitted")]
-    # The closed-form families are Form's values (``str in Form`` raises
-    # TypeError before Python 3.12).
-    if base not in _REF_METHODS and base not in [f.value for f in Form]:
+    if _form(base) is None:
         raise CliError(f"unknown engine mode {token!r}")
     return base, source
+
+
+def _form(base: str) -> Form | None:
+    """The closed form a base mode names, or for ``<family>-ref`` is the twin of."""
+    name = base[: -len("-ref")] + "-closed" if base.endswith("-ref") else base
+    return next((f for f in Form if f.value == name), None)
 
 
 def _engine_tokens(text: str) -> tuple[str, ...]:
@@ -81,10 +85,10 @@ def _engine_tokens(text: str) -> tuple[str, ...]:
 def build_engine(rb: RuleBase, token: str, ref: RefConfig | None = None):
     """Construct the engine object an engine token names."""
     base, source = parse_engine_mode(token)
-    if base in _REF_METHODS:
-        ref = replace(ref if ref is not None else RefConfig(), bound_source=source)
-        return ReferenceEngine(rb, ref, method=_REF_METHODS[base])
-    return ClosedFormEngine(rb, EngineConfig(form=Form(base), bound_source=source))
+    cfg = EngineConfig(_form(base), source)
+    if base.endswith("-ref"):
+        return ReferenceEngine(rb, cfg, ref)
+    return ClosedFormEngine(rb, cfg)
 
 
 def _resolve_out(path: str) -> Path:
@@ -271,7 +275,7 @@ def run_bench(rb: RuleBase, engine_tokens: tuple[str, ...], probes: int,
     modes = {t: parse_engine_mode(t) for t in engine_tokens}
     for family in ("gc", "nt"):
         closed = [t for t, (base, _) in modes.items()
-                  if base not in _REF_METHODS and base.startswith(family)]
+                  if not base.endswith("-ref") and base.startswith(family)]
         ref = [t for t, (base, _) in modes.items() if base == f"{family}-ref"]
         if closed and len(ref) == 1:
             source = modes[ref[0]][1]
@@ -349,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
         lines = "".join(f"\n  [{v.code}] {v.message}" for v in exc.violations)
         print(f"error: invalid rule base:{lines}", file=sys.stderr)
         return 2
-    except (CliError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (CliError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -47,7 +47,7 @@ _GOLDEN_STEPS = 67
 
 
 class FitDominanceViolated(ValueError):
-    """Fitted lower bound exceeds the fitted upper bound on the fit grid."""
+    """Fitted lower bound exceeds the fitted upper bound somewhere."""
 
 
 @dataclass(frozen=True)
@@ -175,11 +175,6 @@ def default_fit_window(m: IT2Gaussian) -> tuple[float, float]:
     return (m.center - half, m.center + half)
 
 
-def lower_exceeds_upper(umf: ScaledGaussian, lmf: ScaledGaussian, xs: np.ndarray) -> bool:
-    """Whether ``lmf`` pokes above ``umf`` anywhere on ``xs``, beyond a 1e-9 slack."""
-    return bool(np.any(lmf.sample(xs) > umf.sample(xs) + 1e-9))
-
-
 def lower_within_upper(umf: ScaledGaussian, lmf: ScaledGaussian) -> bool:
     """Whether ``lmf <= umf`` at every real x, decided exactly, without sampling.
 
@@ -237,9 +232,8 @@ def fit_bounds(
     A search result that does not clearly beat the exact bound's sigma
     gives way to it.
 
-    Returns (fitted_umf, fitted_lmf).  Raises FitDominanceViolated if the
-    fitted lower bound pokes above the fitted upper bound anywhere on the
-    sample grid.
+    Returns (fitted_umf, fitted_lmf).  Raises FitDominanceViolated unless
+    ``lower_within_upper`` holds, the exact check validation uses.
     """
     if window is None:
         window = default_fit_window(m)
@@ -310,8 +304,6 @@ def fit_bounds(
     sigma = best_sigma(lower_sse, float(m.sigma_lo))
     fitted_lmf = ScaledGaussian(center, sigma, opt_scale(curve(sigma)))
 
-    if lower_exceeds_upper(fitted_umf, fitted_lmf, xs):
-        raise FitDominanceViolated(
-            "fitted lower bound exceeds fitted upper bound on the fit grid"
-        )
+    if not lower_within_upper(fitted_umf, fitted_lmf):
+        raise FitDominanceViolated("fitted lower bound exceeds fitted upper bound")
     return fitted_umf, fitted_lmf

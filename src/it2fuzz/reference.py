@@ -5,13 +5,11 @@ Gaussian consequent sets onto a dense output grid, aggregation of the
 implied curves into an output FOU, and defuzzification by explicit
 weighted sums over the grid.  With singleton-like consequents (width well
 below the center spacing) the two defuzzifiers converge to the matching
-closed forms, which is exactly what the equivalence tests exercise:
-
-* ``ReferenceEngine(method="gc")``, the FOU band's centroid   <-> ``gc-closed``
-* ``ReferenceEngine(method="nt")``, the band midline's centroid <-> ``nt-closed``
-
-Firing intervals come from ``ClosedFormEngine.fire``, so both pipelines
-share one firing step and differ only in what follows it.
+closed forms, which is exactly what the equivalence tests exercise.  A
+twin pair is one ``EngineConfig``: ``ReferenceEngine(rb, cfg)`` checks
+``ClosedFormEngine(rb, cfg)`` and fires through it, so both pipelines
+share one firing step and differ only in what follows it.  There is no
+twin of ``Form.GC_CLOSED_SPLIT`` yet.
 
 Aggregation accumulates implied curves in a canonical rule order (sorted
 by consequent center, then firing), so permuting the rule list cannot
@@ -23,13 +21,13 @@ consequent center their mass stacks rather than saturating.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .engine import (DEGENERATE_EPSILON, BoundSource, ClosedFormEngine, EngineConfig,
-                     InferenceResult)
+from .engine import DEGENERATE_EPSILON, ClosedFormEngine, EngineConfig, Form, InferenceResult
 from .rulebase import RuleBase
 
 __all__ = [
@@ -51,26 +49,27 @@ class DomainTooNarrow(ValueError):
 
 @dataclass(frozen=True)
 class RefConfig:
-    """Knobs for the discretized pipeline.
+    """The sampling grid of the discretized pipeline.
 
     The default grid (10001 points over [-1.5, 1.5]) puts about 33 sample
     points inside one consequent width, plenty for the rectangle-rule
-    sums used here.
+    sums used here.  The domain is kept as a tuple of floats, so a config
+    is hashable and keys the shared grid cache.
     """
 
     grid_points: int = 10001
     domain: tuple[float, float] = (-1.5, 1.5)
     consequent_width: float = 0.01
-    bound_source: BoundSource = BoundSource.FITTED
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "domain", tuple(float(v) for v in self.domain))
         if self.grid_points < 101:
             raise ValueError("grid_points must be at least 101")
         lo, hi = self.domain
-        if not lo < hi:
-            raise ValueError(f"bad output domain ({lo}, {hi})")
-        if not self.consequent_width > 0.0:
-            raise ValueError("consequent_width must be positive")
+        if not (lo < hi and math.isfinite(hi - lo)):
+            raise ValueError(f"output domain must be finite and not empty, got ({lo}, {hi})")
+        if not 0.0 < self.consequent_width < math.inf:
+            raise ValueError("consequent_width must be positive and finite")
 
 
 def _check_domain(centers: Sequence[float], ref: RefConfig) -> None:
@@ -84,8 +83,7 @@ def _check_domain(centers: Sequence[float], ref: RefConfig) -> None:
 
 
 @functools.lru_cache(maxsize=4)
-def _output_grid(centers: tuple[float, ...], domain: tuple[float, float], grid_points: int,
-                 width: float) -> tuple[np.ndarray, np.ndarray]:
+def _output_grid(centers: tuple[float, ...], ref: RefConfig) -> tuple[np.ndarray, np.ndarray]:
     """The output grid ``ys`` and one unit-height Gaussian consequent row per
     center on it, both read-only.
 
@@ -94,8 +92,8 @@ def _output_grid(centers: tuple[float, ...], domain: tuple[float, float], grid_p
     a 0.0 center share an entry: a center reaches ``exp`` only through
     ``z * z``, so both give the same row.
     """
-    ys = np.linspace(domain[0], domain[1], grid_points)
-    z = (ys[None, :] - np.asarray(centers)[:, None]) / width
+    ys = np.linspace(ref.domain[0], ref.domain[1], ref.grid_points)
+    z = (ys[None, :] - np.asarray(centers)[:, None]) / ref.consequent_width
     gmat = np.exp(-0.5 * z * z)
     ys.flags.writeable = False
     gmat.flags.writeable = False
@@ -117,8 +115,8 @@ def coa_decomposition_check(ys: np.ndarray, upper: np.ndarray,
 
     ``upper`` and ``lower`` are curves sampled at ``ys``, such as
     ``ReferenceEngine.curves(x)`` at ``ReferenceEngine.ys``.  Returns
-    (lhs, rhs) where lhs is the band u - l's centroid, as
-    ``ReferenceEngine(method="gc")`` computes it, and rhs is (C_u A_u -
+    (lhs, rhs) where lhs is the band u - l's centroid, as the gc-closed
+    twin ``ReferenceEngine(rb)`` computes it, and rhs is (C_u A_u -
     C_l A_l) / (A_u - A_l) built from the centroids and areas of the two
     curves separately.  The two agree up to rounding; when the lower curve
     is identically zero the rhs degenerates to C_u.  Raises ZeroArea when
@@ -136,11 +134,13 @@ def coa_decomposition_check(ys: np.ndarray, upper: np.ndarray,
 
 
 class ReferenceEngine:
-    """Discretized engine with the same infer(x) surface as the closed forms.
+    """Discretized twin of ``ClosedFormEngine(rb, cfg)``, same infer(x) surface.
 
-    ``method`` picks the defuzzifier: "gc" for the band centroid, "nt"
-    for the midline centroid.  ``curves(x)`` gives the output FOU that
-    ``infer(x)`` defuzzifies, sampled at ``ys``.  The consequent matrix is
+    ``cfg.form`` picks the defuzzifier (``GC_CLOSED`` the band centroid,
+    ``NT_CLOSED`` the midline centroid, ``GC_CLOSED_SPLIT`` a ValueError),
+    ``cfg.bound_source`` the bounds the rules fire through, ``ref`` the
+    grid.  ``curves(x)`` gives the output FOU that ``infer(x)``
+    defuzzifies, sampled at ``ys``.  The consequent matrix is
     input-independent: engines over the same consequent centers and grid
     share one, read-only, as they share the read-only ``ys``, and it is
     built again only once its layout has left the small cache of recent
@@ -150,19 +150,20 @@ class ReferenceEngine:
     mirroring the closed-form fallbacks' never-abort policy.
     """
 
-    def __init__(self, rb: RuleBase, ref: RefConfig | None = None, method: str = "gc"):
-        if method not in ("gc", "nt"):
-            raise ValueError(f"method must be 'gc' or 'nt', got {method!r}")
+    def __init__(self, rb: RuleBase, cfg: EngineConfig | None = None,
+                 ref: RefConfig | None = None):
+        cfg = cfg if cfg is not None else EngineConfig()
+        if cfg.form is Form.GC_CLOSED_SPLIT:
+            raise ValueError("the split form has no reference twin")
         ref = ref if ref is not None else RefConfig()
-        self._closed = ClosedFormEngine(rb, EngineConfig(bound_source=ref.bound_source))
+        self._closed = ClosedFormEngine(rb, cfg)
         centers = [r.consequent for r in rb.rules]
         _check_domain(centers, ref)
         self.rb = rb
+        self.cfg = cfg
         self.ref = ref
-        self.method = method
         self._centers = centers
-        self.ys, self._gmat = _output_grid(tuple(centers), tuple(ref.domain),
-                                           ref.grid_points, ref.consequent_width)
+        self.ys, self._gmat = _output_grid(tuple(centers), ref)
 
     def curves(self, x: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """Upper and lower output curves at x: firing times consequent rows, summed."""
@@ -183,7 +184,7 @@ class ReferenceEngine:
 
     def infer(self, x: Sequence[float]) -> InferenceResult:
         upper, lower = self.curves(x)
-        curve = upper - lower if self.method == "gc" else 0.5 * (upper + lower)
+        curve = upper - lower if self.cfg.form is Form.GC_CLOSED else 0.5 * (upper + lower)
         value = _centroid(self.ys, curve)
         if value is None:
             return InferenceResult(0.0, True)

@@ -57,9 +57,9 @@ def test_criterion_2_reference_equivalence():
     t0 = time.perf_counter()
     rb = default_rulebase()
     axis = np.linspace(-1.0, 1.0, 21)
-    for form, method in ((Form.GC_CLOSED, "gc"), (Form.NT_CLOSED, "nt")):
-        closed = ClosedFormEngine(rb, EngineConfig(form=form))
-        ref = ReferenceEngine(rb, method=method)
+    for cfg in (EngineConfig(form=Form.GC_CLOSED), EngineConfig(form=Form.NT_CLOSED)):
+        closed = ClosedFormEngine(rb, cfg)
+        ref = ReferenceEngine(rb, cfg)
         worst = max(abs(closed.infer((x1, x2)).value - ref.infer((x1, x2)).value)
                     for x1 in axis for x2 in axis)
         assert worst <= EQUIV_TOL
@@ -68,7 +68,7 @@ def test_criterion_2_reference_equivalence():
 
 def test_criterion_3_centroid_decomposition():
     t0 = time.perf_counter()
-    engine = ReferenceEngine(default_rulebase(), RefConfig())
+    engine = ReferenceEngine(default_rulebase(), ref=RefConfig())
     axis = np.linspace(-1.0, 1.0, 5)
     for x1 in axis:
         for x2 in axis:

@@ -32,7 +32,8 @@ def test_parse_engine_mode_variants(token, base, source):
     assert parse_engine_mode(token) == (base, source)
 
 
-@pytest.mark.parametrize("token", ["gc", "closed", "gc-closed-best", ""])
+@pytest.mark.parametrize("token", ["gc", "closed", "gc-closed-best", "",
+                                   "gc-closed-ref", "gc-ref-split", "gc-split-ref"])
 def test_parse_engine_mode_rejects_unknown(token):
     with pytest.raises(CliError, match="unknown engine mode"):
         parse_engine_mode(token)
@@ -368,6 +369,27 @@ def test_oversize_allocation_exits_2(argv, rows, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+# A directory where a file belongs, or a file where a directory belongs:
+# "{dir}" stands for an existing directory, "{file}" for a regular file.
+@pytest.mark.parametrize("argv, out_dir", [
+    (["surface", "--grid", "2", "--rules", "{dir}"], None),
+    (["surface", "--grid", "2", "--out", "{dir}"], None),
+    (["fit", "--dmu", "0.1", "--sigma", "0.418", "--out", "{dir}"], None),
+    (["bench", "--probes", "1", "--engine", "gc-closed", "--out", "{dir}"], None),
+    (["surface", "--grid", "2", "--out", "surface.csv"], "{file}"),
+], ids=["surface-rules-dir", "surface-out-dir", "fit-out-dir", "bench-out-dir",
+        "out-dir-env-is-file"])
+def test_unusable_path_exits_2(argv, out_dir, tmp_path, monkeypatch, capsys):
+    paths = {"{dir}": str(tmp_path / "d"), "{file}": str(tmp_path / "f")}
+    (tmp_path / "d").mkdir()
+    (tmp_path / "f").write_text("")
+    if out_dir is not None:
+        monkeypatch.setenv("IT2FUZZ_OUT_DIR", paths[out_dir])
+    assert main([paths.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 # -- bench -------------------------------------------------------------------
