@@ -3,12 +3,13 @@
 Engine modes are named ``gc-closed``, ``gc-closed-split``, ``nt-closed``,
 ``gc-ref``, ``nt-ref``, each optionally suffixed ``-exact`` or ``-fitted``
 to pick the membership bound source (fitted is the default).
-``<family>-ref`` is the sampled twin of ``<family>-closed``, of one config.
+``parse_engine_mode`` alone decodes a token, into an ``EngineConfig`` and
+whether it is the sampled reference: ``<family>-ref`` twins ``<family>-closed``.
 
 Exit codes: 0 success, 2 validation or argument problems (among them a
 run or fit too large to allocate and an unusable input or output path),
-3 numeric failure (simulation blowup).  Relative output paths are
-resolved against $IT2FUZZ_OUT_DIR when that variable is set.
+3 numeric failure (simulation blowup).  Relative output paths land under
+$IT2FUZZ_OUT_DIR when it is set; every output path is checked before any work.
 
 The bench probe stream is a fixed linear congruential generator,
 state' = (1664525 * state + 1013904223) mod 2^32 from seed 123456789,
@@ -57,23 +58,24 @@ class CliError(Exception):
     """Anything that should abort the command with exit code 2."""
 
 
-def parse_engine_mode(token: str) -> tuple[str, BoundSource]:
-    """Split an engine token into its base mode and bound source."""
-    base = token.strip()
-    source = BoundSource.FITTED
-    if base.endswith("-exact"):
-        base, source = base[: -len("-exact")], BoundSource.EXACT
-    elif base.endswith("-fitted"):
-        base = base[: -len("-fitted")]
-    if _form(base) is None:
-        raise CliError(f"unknown engine mode {token!r}")
-    return base, source
+# Every engine token: a family, with the closed form it computes or is the
+# sampled twin of and whether it is that reference, then a bound source.
+_MODES = {family + suffix: (EngineConfig(form, source), ref)
+          for family, form, ref in (("gc-closed", Form.GC_CLOSED, False),
+                                    ("gc-closed-split", Form.GC_CLOSED_SPLIT, False),
+                                    ("nt-closed", Form.NT_CLOSED, False),
+                                    ("gc-ref", Form.GC_CLOSED, True),
+                                    ("nt-ref", Form.NT_CLOSED, True))
+          for suffix, source in (("", BoundSource.FITTED), ("-fitted", BoundSource.FITTED),
+                                 ("-exact", BoundSource.EXACT))}
 
 
-def _form(base: str) -> Form | None:
-    """The closed form a base mode names, or for ``<family>-ref`` is the twin of."""
-    name = base[: -len("-ref")] + "-closed" if base.endswith("-ref") else base
-    return next((f for f in Form if f.value == name), None)
+def parse_engine_mode(token: str) -> tuple[EngineConfig, bool]:
+    """The config an engine token names, and whether it is the sampled reference."""
+    try:
+        return _MODES[token.strip()]
+    except KeyError:
+        raise CliError(f"unknown engine mode {token!r}") from None
 
 
 def _engine_tokens(text: str) -> tuple[str, ...]:
@@ -84,25 +86,26 @@ def _engine_tokens(text: str) -> tuple[str, ...]:
 
 def build_engine(rb: RuleBase, token: str, ref: RefConfig | None = None):
     """Construct the engine object an engine token names."""
-    base, source = parse_engine_mode(token)
-    cfg = EngineConfig(_form(base), source)
-    if base.endswith("-ref"):
-        return ReferenceEngine(rb, cfg, ref)
-    return ClosedFormEngine(rb, cfg)
+    cfg, is_ref = parse_engine_mode(token)
+    return ReferenceEngine(rb, cfg, ref) if is_ref else ClosedFormEngine(rb, cfg)
 
 
-def _resolve_out(path: str) -> Path:
-    p = Path(path)
-    base = os.environ.get(OUT_DIR_ENV)
-    if base and not p.is_absolute():
-        return Path(base) / p
-    return p
+def _out_path(path: str) -> str:
+    """An output path joined onto $IT2FUZZ_OUT_DIR as a string, so a trailing
+    separator survives, and checked by stats alone before any work."""
+    full = os.path.join(os.environ.get(OUT_DIR_ENV, ""), path)
+    parent = os.path.dirname(full) or "."
+    if os.path.isdir(full):
+        raise CliError(f"output path {full!r} is a directory")
+    if not os.path.isdir(parent):
+        raise CliError(f"output directory {parent!r} is missing or not a directory")
+    return full
 
 
 def _write_out(text: str, out: str | None) -> None:
-    """Write text to the --out path, or to stdout when none is given."""
+    """Write text to a checked output path, or to stdout when there is none."""
     if out:
-        _resolve_out(out).write_text(text)
+        Path(out).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -167,23 +170,21 @@ def generate_surface(rb: RuleBase, spec: SurfaceSpec) -> list[str]:
 
 
 def cmd_surface(args: argparse.Namespace) -> int:
+    out = args.out and _out_path(args.out)
     rb = _load_rules(args.rules)
     spec = SurfaceSpec(grid=args.grid, engines=_engine_tokens(args.engine))
-    _write_out("\n".join(generate_surface(rb, spec)) + "\n", args.out)
+    _write_out("\n".join(generate_surface(rb, spec)) + "\n", out)
     return 0
 
 
 # -- pendulum ----------------------------------------------------------------
 
 def cmd_pendulum(args: argparse.Namespace) -> int:
+    trace_out, summary_out = (_out_path(args.out + end)
+                              for end in ("_trace.csv", "_summary.json"))
     rb = _load_rules(args.rules)
     engine = build_engine(rb, args.engine)
-    try:
-        cfg = LoopConfig(step=args.step, duration=args.duration,
-                         initial_angle=args.angle0)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    prefix = _resolve_out(args.out)
+    cfg = LoopConfig(step=args.step, duration=args.duration, initial_angle=args.angle0)
     code = 0
     try:
         trace = simulate(engine, cfg)
@@ -191,7 +192,7 @@ def cmd_pendulum(args: argparse.Namespace) -> int:
         trace = exc.trace
         code = 3
         print(f"numeric failure: {exc}", file=sys.stderr)
-    write_trace_csv(trace, Path(str(prefix) + "_trace.csv"))
+    write_trace_csv(trace, trace_out)
     summary = {
         "settle_time_s": settle_time(trace) if not trace.failed else None,
         "max_abs_angle_rad": float(np.max(np.abs(trace.angles))) if trace.times.size else None,
@@ -199,13 +200,14 @@ def cmd_pendulum(args: argparse.Namespace) -> int:
         "degenerate_steps": int(trace.degenerate_flags.sum()),
         "failed": trace.failed,
     }
-    Path(str(prefix) + "_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    Path(summary_out).write_text(json.dumps(summary, indent=2) + "\n")
     return code
 
 
 # -- fit ---------------------------------------------------------------------
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    out = args.out and _out_path(args.out)
     if args.sigma <= 0.0:
         raise CliError("sigma must be positive")
     if args.dmu < 0.0:
@@ -221,7 +223,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         "lmf": {"mean": lmf.mean, "sigma": lmf.sigma, "scale": lmf.scale},
         "sse": sse,
     }
-    _write_out(json.dumps(report, indent=2) + "\n", args.out)
+    _write_out(json.dumps(report, indent=2) + "\n", out)
     return 0
 
 
@@ -244,19 +246,19 @@ def run_bench(rb: RuleBase, engine_tokens: tuple[str, ...], probes: int,
               seed: int = LCG_SEED) -> dict:
     """Per-inference timing stats for each engine over one shared probe stream.
 
-    ``BENCH_WARMUP`` inferences per engine run first and are not measured.
-    A method family gets a speedup when exactly one of its reference
-    engines is present, over a closed engine of the family: preferably one
-    with the same bound source, and the plain form before ``-split``.
+    Every engine is built before any is timed, and ``BENCH_WARMUP``
+    inferences per engine run first and are not measured.  A family
+    (``gc``, ``nt``) with exactly one reference present gets a speedup, its
+    mean over its twin's, the closed token of the same ``EngineConfig``.
     """
     if probes < 1:
         raise CliError("no probes")
+    modes = {t: parse_engine_mode(t) for t in engine_tokens}
+    engines = {t: build_engine(rb, t) for t in engine_tokens}
     points = lcg_probes(probes, seed)
     warm = lcg_probes(min(BENCH_WARMUP, probes), seed + 1)
     report: dict = {"probes": probes, "seed": seed, "engines": {}}
-    means: dict[str, float] = {}
-    for token in engine_tokens:
-        engine = build_engine(rb, token)
+    for token, engine in engines.items():
         for p in warm:
             engine.infer(p)
         samples = []
@@ -264,36 +266,28 @@ def run_bench(rb: RuleBase, engine_tokens: tuple[str, ...], probes: int,
             t0 = time.perf_counter_ns()
             engine.infer(p)
             samples.append(time.perf_counter_ns() - t0)
-        means[token] = statistics.fmean(samples)
         report["engines"][token] = {
             "mean_ns": statistics.fmean(samples),
             "median_ns": float(statistics.median(samples)),
             "std_ns": statistics.pstdev(samples),
             "count": len(samples),
         }
-    speedup = {}
-    modes = {t: parse_engine_mode(t) for t in engine_tokens}
-    for family in ("gc", "nt"):
-        closed = [t for t, (base, _) in modes.items()
-                  if not base.endswith("-ref") and base.startswith(family)]
-        ref = [t for t, (base, _) in modes.items() if base == f"{family}-ref"]
-        if closed and len(ref) == 1:
-            source = modes[ref[0]][1]
-            pick = min(closed, key=lambda t: (modes[t][1] is not source,
-                                              modes[t][0].endswith("-split")))
-            speedup[family] = means[ref[0]] / means[pick]
+    stats, speedup = report["engines"], {}
+    for family, form in (("gc", Form.GC_CLOSED), ("nt", Form.NT_CLOSED)):
+        refs = [t for t, (cfg, is_ref) in modes.items() if is_ref and cfg.form is form]
+        twins = [t for t, m in modes.items() if len(refs) == 1 and m == (modes[refs[0]][0], False)]
+        if twins:
+            speedup[family] = stats[refs[0]]["mean_ns"] / stats[twins[0]]["mean_ns"]
     if speedup:
         report["speedup"] = speedup
     return report
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    out = args.out and _out_path(args.out)
     rb = _load_rules(args.rules)
-    tokens = _engine_tokens(args.engine)
-    for tok in tokens:
-        parse_engine_mode(tok)
-    report = run_bench(rb, tokens, args.probes, seed=args.seed)
-    _write_out(json.dumps(report, indent=2) + "\n", args.out)
+    report = run_bench(rb, _engine_tokens(args.engine), args.probes, seed=args.seed)
+    _write_out(json.dumps(report, indent=2) + "\n", out)
     return 0
 
 

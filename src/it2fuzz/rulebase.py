@@ -333,4 +333,9 @@ def dump_rulebase(rb: RuleBase, path: str | Path) -> None:
 
 
 def load_rulebase(path: str | Path) -> RuleBase:
-    return rulebase_from_dict(json.loads(Path(path).read_text()))
+    """Read a rule file; text that is not JSON is one ``schema`` violation."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise RuleBaseInvalid((Violation("schema", f"rule file is not JSON ({exc})"),)) from None
+    return rulebase_from_dict(data)

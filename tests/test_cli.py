@@ -6,8 +6,8 @@ import warnings
 
 import pytest
 
-from it2fuzz import (BoundSource, ClosedFormEngine, ReferenceEngine, RuleBase,
-                     default_rulebase, dump_rulebase, rulebase_to_dict)
+from it2fuzz import (BoundSource, ClosedFormEngine, EngineConfig, Form, ReferenceEngine,
+                     RuleBase, default_rulebase, dump_rulebase, rulebase_to_dict)
 from it2fuzz import cli, engine as engine_mod
 from it2fuzz.cli import (CliError, SurfaceSpec, generate_surface, lcg_probes,
                          main, parse_engine_mode, run_bench)
@@ -20,16 +20,38 @@ RB = default_rulebase()
 
 # -- engine tokens -----------------------------------------------------------
 
-@pytest.mark.parametrize("token, base, source", [
+# The closed form each family computes, or is the sampled twin of, and
+# whether the family is that reference.
+FAMILIES = {
+    "gc-closed": (Form.GC_CLOSED, False),
+    "gc-closed-split": (Form.GC_CLOSED_SPLIT, False),
+    "nt-closed": (Form.NT_CLOSED, False),
+    "gc-ref": (Form.GC_CLOSED, True),
+    "nt-ref": (Form.NT_CLOSED, True),
+}
+
+
+@pytest.mark.parametrize("token, family, source", [
     ("gc-closed", "gc-closed", BoundSource.FITTED),
     ("gc-closed-fitted", "gc-closed", BoundSource.FITTED),
-    ("nt-closed-exact", "nt-closed", BoundSource.EXACT),
+    ("gc-closed-exact", "gc-closed", BoundSource.EXACT),
+    ("gc-closed-split", "gc-closed-split", BoundSource.FITTED),
     ("gc-closed-split-fitted", "gc-closed-split", BoundSource.FITTED),
-    ("nt-ref-exact", "nt-ref", BoundSource.EXACT),
+    ("gc-closed-split-exact", "gc-closed-split", BoundSource.EXACT),
+    ("nt-closed", "nt-closed", BoundSource.FITTED),
+    ("nt-closed-fitted", "nt-closed", BoundSource.FITTED),
+    ("nt-closed-exact", "nt-closed", BoundSource.EXACT),
     ("gc-ref", "gc-ref", BoundSource.FITTED),
+    ("gc-ref-fitted", "gc-ref", BoundSource.FITTED),
+    ("gc-ref-exact", "gc-ref", BoundSource.EXACT),
+    ("nt-ref", "nt-ref", BoundSource.FITTED),
+    ("nt-ref-fitted", "nt-ref", BoundSource.FITTED),
+    ("nt-ref-exact", "nt-ref", BoundSource.EXACT),
 ])
-def test_parse_engine_mode_variants(token, base, source):
-    assert parse_engine_mode(token) == (base, source)
+def test_parse_engine_mode_variants(token, family, source):
+    form, ref = FAMILIES[family]
+    assert parse_engine_mode(token) == (EngineConfig(form, source), ref)
+    assert parse_engine_mode(f" {token} ") == parse_engine_mode(token)
 
 
 @pytest.mark.parametrize("token", ["gc", "closed", "gc-closed-best", "",
@@ -235,6 +257,18 @@ def test_surface_rejects_malformed_rule_file(mangle, code, tmp_path, capsys):
     assert f"error: invalid rule base:\n  [{code}] " in capsys.readouterr().err
 
 
+# Text that is not JSON: a syntax error, and nesting past the parser's depth.
+@pytest.mark.parametrize("text", ['{"inputs": ', "[" * 100_000],
+                         ids=["syntax-error", "nested-too-deep"])
+def test_surface_rejects_rule_file_that_is_not_json(text, tmp_path, capsys):
+    rules = tmp_path / "garbled.json"
+    rules.write_text(text)
+    assert main(["surface", "--rules", str(rules)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid rule base:\n  [schema] rule file is not JSON")
+    assert "Traceback" not in err
+
+
 def test_surface_validates_rule_base_once(monkeypatch, capsys):
     calls = []
     validate = RuleBase.validate
@@ -293,6 +327,16 @@ def test_pendulum_blowup_exit_code(tmp_path, capsys):
     assert summary["settle_time_s"] is None
     # the partial trace up to the failure still gets written out
     assert len((tmp_path / "boom_trace.csv").read_text().splitlines()) > 1
+
+
+def test_pendulum_out_with_trailing_separator_writes_inside(tmp_path, monkeypatch):
+    # <out>_trace.csv is literal: "runs/" puts both files in runs/.
+    (tmp_path / "runs").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(["pendulum", "--duration", "0.01", "--out", "runs/"]) == 0
+    assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == [
+        "_summary.json", "_trace.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["runs"]
 
 
 # -- fit ---------------------------------------------------------------------
@@ -371,25 +415,40 @@ def test_oversize_allocation_exits_2(argv, rows, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-# A directory where a file belongs, or a file where a directory belongs:
-# "{dir}" stands for an existing directory, "{file}" for a regular file.
+# A directory where a file belongs, or a file or nothing where a directory
+# belongs: "{dir}" stands for an existing directory, "{file}" for a regular
+# file, "{missing}" for a path in a directory that does not exist, and
+# "{run}" for a pendulum prefix whose summary file name is a directory.
 @pytest.mark.parametrize("argv, out_dir", [
     (["surface", "--grid", "2", "--rules", "{dir}"], None),
     (["surface", "--grid", "2", "--out", "{dir}"], None),
     (["fit", "--dmu", "0.1", "--sigma", "0.418", "--out", "{dir}"], None),
     (["bench", "--probes", "1", "--engine", "gc-closed", "--out", "{dir}"], None),
     (["surface", "--grid", "2", "--out", "surface.csv"], "{file}"),
+    (["bench", "--probes", "1", "--engine", "gc-closed", "--out", "{missing}"], None),
+    (["pendulum", "--duration", "0.01", "--out", "{run}"], None),
 ], ids=["surface-rules-dir", "surface-out-dir", "fit-out-dir", "bench-out-dir",
-        "out-dir-env-is-file"])
+        "out-dir-env-is-file", "bench-out-parent-missing", "pendulum-summary-dir"])
 def test_unusable_path_exits_2(argv, out_dir, tmp_path, monkeypatch, capsys):
-    paths = {"{dir}": str(tmp_path / "d"), "{file}": str(tmp_path / "f")}
+    paths = {"{dir}": str(tmp_path / "d"), "{file}": str(tmp_path / "f"),
+             "{missing}": str(tmp_path / "missing" / "x.json"), "{run}": str(tmp_path / "r")}
     (tmp_path / "d").mkdir()
     (tmp_path / "f").write_text("")
+    (tmp_path / "r_summary.json").mkdir()
     if out_dir is not None:
         monkeypatch.setenv("IT2FUZZ_OUT_DIR", paths[out_dir])
+
+    def never(*args, **kwargs):
+        raise AssertionError("the command's work ran")
+
+    # The path is checked before the command does any of its work.
+    for work in ("generate_surface", "simulate", "fit_bounds", "run_bench"):
+        monkeypatch.setattr(cli, work, never)
+    before = sorted(tmp_path.iterdir())
     assert main([paths.get(a, a) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 # -- bench -------------------------------------------------------------------
@@ -430,6 +489,30 @@ def test_bench_pairs_reference_with_same_source_closed_form():
     report = run_bench(RB, ("gc-closed", "gc-closed-exact", "gc-ref-exact"), 50)
     means = {t: e["mean_ns"] for t, e in report["engines"].items()}
     assert report["speedup"] == {"gc": means["gc-ref-exact"] / means["gc-closed-exact"]}
+
+
+@pytest.mark.parametrize("tokens, pairs", [
+    (("gc-closed-split", "gc-ref"), {}),
+    (("gc-closed", "gc-ref-exact"), {}),
+    (("gc-closed", "gc-ref", "nt-closed-exact", "nt-ref-exact"),
+     {"gc": ("gc-ref", "gc-closed"), "nt": ("nt-ref-exact", "nt-closed-exact")}),
+], ids=["split-is-no-twin", "other-source-is-no-twin", "both-twins"])
+def test_bench_speedup_is_reference_over_its_twin(tokens, pairs):
+    # The twin is the closed token of the reference's EngineConfig; no
+    # other closed engine stands in for it.
+    report = run_bench(split_rulebase(RB), tokens, 5)
+    means = {t: e["mean_ns"] for t, e in report["engines"].items()}
+    assert report.get("speedup", {}) == {
+        family: means[ref] / means[twin] for family, (ref, twin) in pairs.items()}
+
+
+def test_bench_builds_every_engine_before_timing(monkeypatch, capsys):
+    # The split form cannot be built on the demo base, which has no split
+    # consequents; the reference before it must not be timed.
+    calls = count_surface_calls(monkeypatch)
+    assert main(["bench", "--engine", "gc-ref,gc-closed-split"]) == 2
+    assert "split form needs split consequents" in capsys.readouterr().err
+    assert calls["ref"] == 0
 
 
 def test_bench_single_engine_no_speedup(tmp_path):
