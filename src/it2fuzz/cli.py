@@ -80,8 +80,13 @@ def parse_engine_mode(token: str) -> tuple[EngineConfig, bool]:
 
 def _engine_tokens(text: str) -> tuple[str, ...]:
     """The tokens of a comma-separated ``--engine`` value, stripped once so
-    that headers and report keys name the engine that is built."""
-    return tuple(tok.strip() for tok in text.split(","))
+    that headers and report keys name the engine that is built; each may
+    appear once, as it names one column or report key."""
+    tokens = tuple(tok.strip() for tok in text.split(","))
+    twice = sorted({tok for tok in tokens if tokens.count(tok) > 1})
+    if twice:
+        raise CliError(f"engine listed more than once: {', '.join(map(repr, twice))}")
+    return tokens
 
 
 def build_engine(rb: RuleBase, token: str, ref: RefConfig | None = None):
@@ -131,6 +136,8 @@ class SurfaceSpec:
     engines: tuple[str, ...] = ("gc-closed",)
 
     def __post_init__(self) -> None:
+        if isinstance(self.grid, bool) or not isinstance(self.grid, int):
+            raise ValueError(f"grid must be an int, got {self.grid!r}")
         if self.grid < 2:
             raise ValueError("grid needs at least 2 points per axis")
         lo, hi = self.axis_range

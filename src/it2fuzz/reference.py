@@ -63,6 +63,8 @@ class RefConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "domain", tuple(float(v) for v in self.domain))
+        if isinstance(self.grid_points, bool) or not isinstance(self.grid_points, int):
+            raise ValueError(f"grid_points must be an int, got {self.grid_points!r}")
         if self.grid_points < 101:
             raise ValueError("grid_points must be at least 101")
         lo, hi = self.domain
@@ -83,21 +85,28 @@ def _check_domain(centers: Sequence[float], ref: RefConfig) -> None:
 
 
 @functools.lru_cache(maxsize=4)
-def _output_grid(centers: tuple[float, ...], ref: RefConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The output grid ``ys`` and one unit-height Gaussian consequent row per
-    center on it, both read-only.
+def _output_grid(centers: tuple[float, ...], ref: RefConfig
+                 ) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
+    """The output grid ``ys``, one unit-height Gaussian consequent row per
+    center on it, both read-only, and each row's nonzero span ``(a, b)``.
 
     They depend only on the arguments, so engines over the same centers and
-    grid share one pair; the few most recent layouts are kept.  A -0.0 and
+    grid share them; the few most recent layouts are kept.  A -0.0 and
     a 0.0 center share an entry: a center reaches ``exp`` only through
-    ``z * z``, so both give the same row.
+    ``z * z``, so both give the same row.  Far from its center a row
+    underflows to exactly 0.0, so ``row[:a]`` and ``row[b:]`` hold only
+    zeros; a row with no nonzero value gets the empty span ``(0, 0)``.
     """
     ys = np.linspace(ref.domain[0], ref.domain[1], ref.grid_points)
     z = (ys[None, :] - np.asarray(centers)[:, None]) / ref.consequent_width
     gmat = np.exp(-0.5 * z * z)
     ys.flags.writeable = False
     gmat.flags.writeable = False
-    return ys, gmat
+    spans = []
+    for row in gmat:
+        nonzero = np.flatnonzero(row)
+        spans.append((int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0))
+    return ys, gmat, tuple(spans)
 
 
 def _centroid(ys: np.ndarray, curve: np.ndarray) -> float | None:
@@ -144,10 +153,14 @@ class ReferenceEngine:
     input-independent: engines over the same consequent centers and grid
     share one, read-only, as they share the read-only ``ys``, and it is
     built again only once its layout has left the small cache of recent
-    layouts (``_output_grid``).  Every infer still does its full grid
-    sweep.  A collapsed band (gc), an empty midline (nt) or
-    a non-finite input yields a flagged zero instead of an exception,
-    mirroring the closed-form fallbacks' never-abort policy.
+    layouts (``_output_grid``).  Each infer adds a row only over its
+    nonzero span: beyond it the row is exactly 0.0, and adding a finite
+    firing times 0.0 to a sum that starts at +0.0 changes no bit, so the
+    curves equal a full-row sweep's bit for bit.  A non-finite firing
+    sweeps the whole row, as its product with 0.0 is NaN.  A collapsed
+    band (gc), an empty midline (nt) or a non-finite input yields a
+    flagged zero instead of an exception, mirroring the closed-form
+    fallbacks' never-abort policy.
     """
 
     def __init__(self, rb: RuleBase, cfg: EngineConfig | None = None,
@@ -163,7 +176,7 @@ class ReferenceEngine:
         self.cfg = cfg
         self.ref = ref
         self._centers = centers
-        self.ys, self._gmat = _output_grid(tuple(centers), ref)
+        self.ys, self._gmat, self._spans = _output_grid(tuple(centers), ref)
 
     def curves(self, x: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """Upper and lower output curves at x: firing times consequent rows, summed."""
@@ -174,12 +187,17 @@ class ReferenceEngine:
         # upper and the lower curve keeps lower <= upper exact.
         order = sorted(range(len(centers)),
                        key=lambda k: (centers[k], firing[k].lower, firing[k].upper))
-        gmat = self._gmat
-        upper = np.zeros(gmat.shape[1])
-        lower = np.zeros(gmat.shape[1])
+        gmat, spans = self._gmat, self._spans
+        n = gmat.shape[1]
+        upper = np.zeros(n)
+        lower = np.zeros(n)
+        scratch = np.empty(n)
         for k in order:
-            upper += firing[k].upper * gmat[k]
-            lower += firing[k].lower * gmat[k]
+            lo, up = firing[k]
+            a, b = spans[k] if math.isfinite(lo) and math.isfinite(up) else (0, n)
+            row, part = gmat[k, a:b], scratch[a:b]
+            upper[a:b] += np.multiply(up, row, out=part)
+            lower[a:b] += np.multiply(lo, row, out=part)
         return upper, lower
 
     def infer(self, x: Sequence[float]) -> InferenceResult:

@@ -62,8 +62,9 @@ def test_parse_engine_mode_rejects_unknown(token):
 
 
 def test_surface_spec_validation():
-    with pytest.raises(ValueError):
-        SurfaceSpec(grid=1)
+    for grid in (1, 2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError):
+            SurfaceSpec(grid=grid)
     with pytest.raises(ValueError):
         SurfaceSpec(axis_range=(1.0, -1.0))
     for axis_range in ((-math.inf, 1.0), (-1.0, math.inf)):
@@ -191,6 +192,19 @@ def test_surface_rejects_bad_engine(tmp_path, capsys):
                str(tmp_path / "x.csv")])
     assert rc == 2
     assert "unknown engine mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["surface", "--grid", "3", "--engine", "gc-closed,gc-closed"],
+    ["surface", "--grid", "3", "--engine", "gc-closed, nt-closed,gc-closed "],
+    ["bench", "--probes", "20", "--engine", "gc-closed,gc-ref,gc-ref"],
+], ids=["surface", "surface-stripped", "bench"])
+def test_repeated_engine_token_exits_2(argv, tmp_path, monkeypatch, capsys):
+    calls = count_surface_calls(monkeypatch)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "listed more than once: 'gc-" in capsys.readouterr().err
+    assert not out.exists() and not any(calls.values())
 
 
 def test_surface_rejects_invalid_rules(tmp_path, capsys):

@@ -21,6 +21,7 @@ from it2fuzz import (
     coa_decomposition_check,
     default_rulebase,
 )
+from it2fuzz import cli
 from it2fuzz.reference import _output_grid
 
 from helpers import collapsed_rulebase, split_rulebase
@@ -32,7 +33,11 @@ NT_EXACT = EngineConfig(form=Form.NT_CLOSED, bound_source=BoundSource.EXACT)
 
 
 def test_config_validation():
-    for kwargs in ({"grid_points": 100}, {"domain": (1.0, -1.0)},
+    # an int config of 2001 points in the cache must not let an equal
+    # float count through on the cache hit
+    ReferenceEngine(RB, ref=RefConfig(grid_points=2001))
+    for kwargs in ({"grid_points": 100}, {"grid_points": 2001.0}, {"grid_points": 2003.0},
+                   {"grid_points": True}, {"grid_points": "2001"}, {"domain": (1.0, -1.0)},
                    {"domain": (-math.inf, 1.5)}, {"domain": (-1.5, math.inf)},
                    {"domain": (-1e308, 1e308)}, {"domain": (math.nan, 1.5)},
                    {"consequent_width": 0.0}, {"consequent_width": math.inf},
@@ -235,20 +240,24 @@ def _grid_and_matrix(centers, ref):
     return ys, np.exp(-0.5 * z * z)
 
 
-def _expected_curves(engine, x):
-    """``curves(x)`` over a matrix built here, in the engine's rule order."""
+def _expected_curves(engine, xs):
+    """``curves(x)`` for each x in xs: full-row sweeps over a matrix built
+    here, in the engine's rule order."""
     centers = [r.consequent for r in engine.rb.rules]
-    ys, gmat = _grid_and_matrix(centers, engine.ref)
-    firing = ClosedFormEngine(engine.rb, engine.cfg).fire(x)
-    upper, lower = np.zeros(len(ys)), np.zeros(len(ys))
-    for k in sorted(range(len(centers)),
-                    key=lambda k: (centers[k], firing[k].lower, firing[k].upper)):
-        upper += firing[k].upper * gmat[k]
-        lower += firing[k].lower * gmat[k]
-    return ys, upper, lower
+    _, gmat = _grid_and_matrix(centers, engine.ref)
+    closed = ClosedFormEngine(engine.rb, engine.cfg)
+    for x in xs:
+        firing = closed.fire(x)
+        upper, lower = np.zeros(gmat.shape[1]), np.zeros(gmat.shape[1])
+        for k in sorted(range(len(centers)),
+                        key=lambda k: (centers[k], firing[k].lower, firing[k].upper)):
+            upper += firing[k].upper * gmat[k]
+            lower += firing[k].lower * gmat[k]
+        yield upper, lower
 
 
 def _same_bits(a, b):
+    """Equal dtype, shape and bytes: the sign of every zero and every NaN too."""
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
@@ -288,13 +297,19 @@ def test_shared_arrays_are_read_only():
         np.add(engine.ys, 1.0, out=engine.ys)
 
 
+# signed zeros and the infinities; NaN has its own test
+SPECIAL_POINTS = [
+    (0.0, 0.0), (0.3, -0.7), (-1.0, 0.25), (-0.0, 0.9), (0.0, -0.0), (30.0, -30.0),
+    (math.inf, 0.2), (-0.4, -math.inf), (math.inf, -math.inf), (-math.inf, math.inf)]
+
+
 @pytest.mark.parametrize("cfg", [EngineConfig(), EXACT], ids=["fitted", "exact"])
 def test_curves_equal_a_matrix_built_here(cfg):
     engine = ReferenceEngine(RB, cfg)
-    for x in ((0.0, 0.0), (0.3, -0.7), (-1.0, 0.25), (-0.0, 0.9)):
-        ys, upper, lower = _expected_curves(engine, x)
+    assert _same_bits(engine.ys, _grid_and_matrix([], engine.ref)[0])
+    points = cli.lcg_probes(200) + SPECIAL_POINTS
+    for x, (upper, lower) in zip(points, _expected_curves(engine, points)):
         u, l = engine.curves(x)
-        assert _same_bits(engine.ys, ys)
         assert _same_bits(u, upper) and _same_bits(l, lower)
 
 
@@ -307,7 +322,54 @@ def test_more_layouts_than_the_cache_holds_still_infer_correctly():
     assert engines[-1]._gmat is not engines[0]._gmat
     x = (0.3, -0.7)
     for e in engines:
-        _, upper, lower = _expected_curves(e, x)
+        (upper, lower), = _expected_curves(e, [x])
         u, l = e.curves(x)
         assert _same_bits(u, upper) and _same_bits(l, lower)
     assert engines[-1].infer(x) == engines[0].infer(x)
+
+
+# Layouts whose nonzero spans differ: the default (every span inside the
+# grid), consequents wide enough that no row underflows, the demo's outer
+# centers at the 5-width margin (their spans reach the grid's ends) and a
+# coarse grid on which the +-1 rows underflow everywhere.
+SPAN_LAYOUTS = {"default": RefConfig(), "wide": RefConfig(consequent_width=0.1),
+                "margin": RefConfig(domain=(-1.05, 1.05)),
+                "underflow": RefConfig(grid_points=101, consequent_width=1e-5)}
+
+
+@pytest.mark.parametrize("name", SPAN_LAYOUTS)
+def test_spans_are_first_and_last_nonzero(name):
+    engine = ReferenceEngine(RB, ref=SPAN_LAYOUTS[name])
+    n = engine.ys.size
+    for row, span in zip(engine._gmat, engine._spans):
+        nonzero = [i for i, v in enumerate(row.tolist()) if v != 0.0]
+        assert span == ((nonzero[0], nonzero[-1] + 1) if nonzero else (0, 0))
+    spans = set(engine._spans)
+    if name == "default":
+        assert all(0 < a < b < n for a, b in spans)
+    elif name == "wide":
+        assert spans == {(0, n)}
+    elif name == "margin":
+        assert min(a for a, _ in spans) == 0 and max(b for _, b in spans) == n
+    else:
+        assert (0, 0) in spans and len(spans) == 2
+
+
+@pytest.mark.parametrize("name", ["wide", "margin", "underflow"])
+@pytest.mark.parametrize("cfg", [EngineConfig(), EXACT], ids=["fitted", "exact"])
+def test_span_sweep_equals_a_full_row_sweep(cfg, name):
+    engine = ReferenceEngine(RB, cfg, SPAN_LAYOUTS[name])
+    points = cli.lcg_probes(20) + SPECIAL_POINTS
+    for x, (upper, lower) in zip(points, _expected_curves(engine, points)):
+        u, l = engine.curves(x)
+        assert _same_bits(u, upper) and _same_bits(l, lower)
+
+
+@pytest.mark.parametrize("x", [(math.nan, 0.1), (0.3, math.nan), (math.nan, math.nan)])
+def test_nan_input_gives_all_nan_curves(x):
+    for cfg in (EngineConfig(), EXACT):
+        engine = ReferenceEngine(RB, cfg)
+        (upper, lower), = _expected_curves(engine, [x])
+        u, l = engine.curves(x)
+        assert np.isnan(u).all() and np.isnan(l).all()
+        assert _same_bits(u, upper) and _same_bits(l, lower)

@@ -30,6 +30,10 @@ first on the path, and prints one sha1 per key:
   over each op's probes and the same special points.  All of them are
   built in one process and share consequent centers, so the engines after
   the first take the reference's cached consequent matrix;
+* ``curves/...``: the bytes of ``upper`` then ``lower`` from ``curves`` of
+  the same four reference tokens at each demo point of ``ref/``, so a
+  NaN or a signed zero anywhere on the grid counts, not only the
+  centroid ``infer`` takes of it;
 * ``samples/...``: the bytes of ``umf_samples`` and ``lmf_samples`` on the
   default fit grid (``default_fit_window``, 1001 points) of each ``fit/``
   FOU below and of three uncertain-sigma sets (``SIGMA_FOUS``);
@@ -197,6 +201,9 @@ def dump() -> dict[str, str]:
             engine = cli.build_engine(rb, token)
             out[f"ref/{base}/{token}"] = _sha1(",".join(
                 f"{r.value.hex()}:{r.degenerate}" for r in map(engine.infer, xs)))
+            if base == "demo":
+                out[f"curves/{base}/{token}"] = _sha1(b"".join(
+                    u.tobytes() + l.tobytes() for u, l in map(engine.curves, xs)))
 
     points = cli.lcg_probes(2000) + list(SPECIAL_POINTS)
     cases = {base: (rb, points) for base, rb in bases.items()}
