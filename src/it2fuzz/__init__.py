@@ -28,7 +28,6 @@ from .engine import (
     InferenceResult,
 )
 from .reference import (
-    DomainTooNarrow,
     RefConfig,
     ReferenceEngine,
     ZeroArea,
@@ -58,7 +57,7 @@ __all__ = [
     "rulebase_from_dict", "rulebase_to_dict",
     "BoundSource", "ClosedFormEngine", "EngineConfig", "FiringInterval",
     "Form", "InferenceResult",
-    "DomainTooNarrow", "RefConfig", "ReferenceEngine",
+    "RefConfig", "ReferenceEngine",
     "ZeroArea", "coa_decomposition_check",
     "ACTUATOR_RATE", "GRAVITY", "RK4_MAX_STEP", "LoopConfig", "NumericalBlowup",
     "SimTrace", "controller_step", "plant_derivatives",

@@ -90,7 +90,12 @@ def _engine_tokens(text: str) -> tuple[str, ...]:
 
 
 def build_engine(rb: RuleBase, token: str, ref: RefConfig | None = None):
-    """Construct the engine object an engine token names."""
+    """Construct the engine object an engine token names.
+
+    ``ref`` is a reference token's grid (``RefConfig()`` when None).  No
+    command sets it, but it stays: perfbench's tracing shim passes it on
+    by position and reads ``engine.ref``.
+    """
     cfg, is_ref = parse_engine_mode(token)
     return ReferenceEngine(rb, cfg, ref) if is_ref else ClosedFormEngine(rb, cfg)
 

@@ -39,9 +39,8 @@ sign-symmetric rule base therefore yields bit-exact odd symmetry.
 
 ``infer_batches(engines, X)`` runs many input vectors through several
 engines at once, one firing pass per rule base and bound source (the
-surface export uses it; ``ClosedFormEngine.infer_batch`` is its
-one-engine case), and equals each engine's ``infer`` bit for bit on
-every row.  It computes the regular rows in numpy: bounds are evaluated
+surface export uses it), and equals each engine's ``infer`` bit for bit
+on every row.  It computes the regular rows in numpy: bounds are evaluated
 once per distinct input value, products and terms are numpy arithmetic
 in the same order, and the row sums are numpy error-free transformations
 whose result is proven equal to ``math.fsum``'s, with ``math.fsum``
@@ -188,16 +187,6 @@ class ClosedFormEngine:
         """Crisp output of the configured closed form at input vector x."""
         return self._infer(x)
 
-    def infer_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """``infer`` over the rows of an (N, n_inputs) array, bit for bit.
-
-        Returns ``(values, degenerate)``: a float array and a bool array of
-        length N, equal to ``infer(row)``'s value and flag on every row.
-        This is ``infer_batches([self], X)[0]``; see there for how the rows
-        are computed and when a batch gains.
-        """
-        return infer_batches([self], X)[0]
-
     def _firing_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(N, n_rules) upper and lower firing, equal to ``fire`` row by row."""
         ups = los = None
@@ -224,7 +213,11 @@ class ClosedFormEngine:
 
 def infer_batches(engines: Sequence[ClosedFormEngine],
                   X) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each engine's ``infer_batch(X)``, in order, with the firing shared.
+    """Each engine's ``infer`` over the rows of an (N, n_inputs) array X.
+
+    Returns one ``(values, degenerate)`` pair per engine, in order: a
+    float array and a bool array of length N, equal to ``infer(row)``'s
+    value and flag on every row, bit for bit.
 
     Firing depends only on the rule base and the bound source, so engines
     that hold the same rule base object and bound source share one

@@ -140,39 +140,24 @@ def simulate(engine, cfg: LoopConfig | None = None) -> SimTrace:
     """
     cfg = cfg if cfg is not None else LoopConfig()
     n_steps = int(math.floor(cfg.duration / cfg.step))
-    n_rows = n_steps + 1
-    times = np.empty(n_rows)
-    angles = np.empty(n_rows)
-    velocities = np.empty(n_rows)
-    forces = np.empty(n_rows)
-    inputs = np.empty((n_rows, 2))
-    outputs = np.empty(n_rows)
-    flags = np.zeros(n_rows, dtype=bool)
+    # One row per step boundary, in the trace CSV's column order: t, angle,
+    # velocity, force, x1, x2, u, and the degenerate flag as 0.0 or 1.0.
+    rows = np.empty((n_steps + 1, 8))
 
     h = cfg.step
     y = float(cfg.initial_angle)
     w = float(cfg.initial_velocity)
     fa = 0.0
-    for i in range(n_rows):
+    for i in range(n_steps + 1):
         # NaN and +-inf fail <= as well.
         if not (abs(y) <= BLOWUP_LIMIT and abs(w) <= BLOWUP_LIMIT and abs(fa) <= BLOWUP_LIMIT):
-            trace = SimTrace(times[:i].copy(), angles[:i].copy(), velocities[:i].copy(),
-                             forces[:i].copy(), inputs[:i].copy(), outputs[:i].copy(),
-                             flags[:i].copy(), failed=True)
             raise NumericalBlowup(
                 f"state left the sane range at t = {i * h:.6g} s "
                 f"(angle {y:.6g}, velocity {w:.6g}, force {fa:.6g})",
-                trace,
+                _trace(rows[:i].copy(), failed=True),
             )
         x1, x2, u, f, degenerate = controller_step(engine, SETPOINT - y, -w)
-        times[i] = i * h
-        angles[i] = y
-        velocities[i] = w
-        forces[i] = f
-        inputs[i, 0] = x1
-        inputs[i, 1] = x2
-        outputs[i] = u
-        flags[i] = degenerate
+        rows[i] = (i * h, y, w, f, x1, x2, u, degenerate)
         if i == n_steps:
             break
         # Classical RK4; the commanded force f is held for the whole step.
@@ -184,7 +169,14 @@ def simulate(engine, cfg: LoopConfig | None = None) -> SimTrace:
         w += h * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
         fa += h * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]) / 6.0
 
-    return SimTrace(times, angles, velocities, forces, inputs, outputs, flags)
+    return _trace(rows)
+
+
+def _trace(rows: np.ndarray, failed: bool = False) -> SimTrace:
+    """A SimTrace whose float columns are views of simulate's row array."""
+    times, angles, velocities, forces = rows[:, :4].T
+    return SimTrace(times, angles, velocities, forces, rows[:, 4:6], rows[:, 6],
+                    rows[:, 7] != 0.0, failed)
 
 
 def settle_time(trace: SimTrace) -> float | None:

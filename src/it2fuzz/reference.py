@@ -11,6 +11,9 @@ twin pair is one ``EngineConfig``: ``ReferenceEngine(rb, cfg)`` checks
 share one firing step and differ only in what follows it.  There is no
 twin of ``Form.GC_CLOSED_SPLIT`` yet.
 
+The output grid spans the consequent hull with margins of 50 consequent
+widths (``_output_grid``), so any rule base that passes validation fits.
+
 Aggregation accumulates implied curves in a canonical rule order (sorted
 by consequent center, then firing), so permuting the rule list cannot
 change the output even at the bit level.  The join is a plain sum, the
@@ -35,7 +38,6 @@ __all__ = [
     "coa_decomposition_check",
     "ReferenceEngine",
     "ZeroArea",
-    "DomainTooNarrow",
 ]
 
 
@@ -43,45 +45,23 @@ class ZeroArea(ArithmeticError):
     """The FOU band has (numerically) zero area, so its centroid is undefined."""
 
 
-class DomainTooNarrow(ValueError):
-    """A consequent center sits too close to the output-domain edge."""
-
-
 @dataclass(frozen=True)
 class RefConfig:
-    """The sampling grid of the discretized pipeline.
+    """Grid size and consequent width of the discretized pipeline.
 
-    The default grid (10001 points over [-1.5, 1.5]) puts about 33 sample
-    points inside one consequent width, plenty for the rectangle-rule
-    sums used here.  The domain is kept as a tuple of floats, so a config
-    is hashable and keys the shared grid cache.
+    The grid's ends come from the consequent centers (``_output_grid``):
+    for the demo's, the default is 10001 points over [-1.5, 1.5], about 33
+    inside one consequent width, plenty for the rectangle-rule sums here.
     """
 
     grid_points: int = 10001
-    domain: tuple[float, float] = (-1.5, 1.5)
     consequent_width: float = 0.01
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "domain", tuple(float(v) for v in self.domain))
         if isinstance(self.grid_points, bool) or not isinstance(self.grid_points, int):
             raise ValueError(f"grid_points must be an int, got {self.grid_points!r}")
-        if self.grid_points < 101:
-            raise ValueError("grid_points must be at least 101")
-        lo, hi = self.domain
-        if not (lo < hi and math.isfinite(hi - lo)):
-            raise ValueError(f"output domain must be finite and not empty, got ({lo}, {hi})")
         if not 0.0 < self.consequent_width < math.inf:
             raise ValueError("consequent_width must be positive and finite")
-
-
-def _check_domain(centers: Sequence[float], ref: RefConfig) -> None:
-    lo, hi = ref.domain
-    margin = 5.0 * ref.consequent_width
-    for c in centers:
-        if c - lo < margin or hi - c < margin:
-            raise DomainTooNarrow(
-                f"consequent center {c} is within {margin} of the domain edge ({lo}, {hi})"
-            )
 
 
 @functools.lru_cache(maxsize=4)
@@ -90,22 +70,36 @@ def _output_grid(centers: tuple[float, ...], ref: RefConfig
     """The output grid ``ys``, one unit-height Gaussian consequent row per
     center on it, both read-only, and each row's nonzero span ``(a, b)``.
 
+    The grid runs from ``min(centers) - 50 w`` to ``max(centers) + 50 w``,
+    ``w`` the consequent width: fifty widths out a row has underflowed to
+    exactly 0.0, so no implied set is cut off at an end.  A ValueError is
+    raised unless the spacing ``(hi - lo) / (grid_points - 1)`` is at most
+    ``w``, which puts a grid point within ``w / 2`` of every center, so no
+    row is all zeros and every span is non-empty.
+
     They depend only on the arguments, so engines over the same centers and
     grid share them; the few most recent layouts are kept.  A -0.0 and
     a 0.0 center share an entry: a center reaches ``exp`` only through
-    ``z * z``, so both give the same row.  Far from its center a row
-    underflows to exactly 0.0, so ``row[:a]`` and ``row[b:]`` hold only
-    zeros; a row with no nonzero value gets the empty span ``(0, 0)``.
+    ``z * z``, and the hull's ends only through a nonzero difference, so
+    both give the same grid and row.  ``row[:a]`` and ``row[b:]`` hold only
+    zeros.
     """
-    ys = np.linspace(ref.domain[0], ref.domain[1], ref.grid_points)
-    z = (ys[None, :] - np.asarray(centers)[:, None]) / ref.consequent_width
+    w = ref.consequent_width
+    lo, hi = min(centers) - 50.0 * w, max(centers) + 50.0 * w
+    if not hi - lo <= w * (ref.grid_points - 1):
+        raise ValueError(
+            f"consequent centers {min(centers)} to {max(centers)} need a grid spacing"
+            f" of at most the consequent width {w}: {ref.grid_points} points"
+            f" over ({lo}, {hi}) are too few")
+    ys = np.linspace(lo, hi, ref.grid_points)
+    z = (ys[None, :] - np.asarray(centers)[:, None]) / w
     gmat = np.exp(-0.5 * z * z)
     ys.flags.writeable = False
     gmat.flags.writeable = False
     spans = []
     for row in gmat:
         nonzero = np.flatnonzero(row)
-        spans.append((int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0))
+        spans.append((int(nonzero[0]), int(nonzero[-1]) + 1))
     return ys, gmat, tuple(spans)
 
 
@@ -148,10 +142,11 @@ class ReferenceEngine:
     ``cfg.form`` picks the defuzzifier (``GC_CLOSED`` the band centroid,
     ``NT_CLOSED`` the midline centroid, ``GC_CLOSED_SPLIT`` a ValueError),
     ``cfg.bound_source`` the bounds the rules fire through, ``ref`` the
-    grid.  ``curves(x)`` gives the output FOU that ``infer(x)``
-    defuzzifies, sampled at ``ys``.  The consequent matrix is
-    input-independent: engines over the same consequent centers and grid
-    share one, read-only, as they share the read-only ``ys``, and it is
+    grid (a ValueError if too coarse for the centers, see ``_output_grid``).
+    ``curves(x)`` gives the output FOU that ``infer(x)`` defuzzifies,
+    sampled at ``ys``.  The consequent matrix is input-independent:
+    engines over the same consequent centers and grid share one,
+    read-only, as they share the read-only ``ys``, and it is
     built again only once its layout has left the small cache of recent
     layouts (``_output_grid``).  Each infer adds a row only over its
     nonzero span: beyond it the row is exactly 0.0, and adding a finite
@@ -171,7 +166,6 @@ class ReferenceEngine:
         ref = ref if ref is not None else RefConfig()
         self._closed = ClosedFormEngine(rb, cfg)
         centers = [r.consequent for r in rb.rules]
-        _check_domain(centers, ref)
         self.rb = rb
         self.cfg = cfg
         self.ref = ref

@@ -167,7 +167,7 @@ def test_lone_rule_value_stays_in_the_hull(form):
     c = rb.rules[1].consequent
     engine = ClosedFormEngine(rb, EngineConfig(form=form, bound_source=BoundSource.EXACT))
     X = np.linspace(0.75, 0.95, 20001)[:, None]
-    values, degenerate = engine.infer_batch(X)
+    values, degenerate = infer_batches([engine], X)[0]
     assert not degenerate.any()
     assert -c <= values.min() and values.max() == c
     assert [engine.infer(x) for x in X.tolist()] == list(zip(values.tolist(),
@@ -204,7 +204,7 @@ def test_gc_denominator_of_exactly_the_epsilon_is_degenerate(form, flagged):
     engine = ClosedFormEngine(rb, EngineConfig(form=form))
     assert engine.fire((0.0,)) == [(1e-12, 2e-12)]
     assert engine.infer((0.0,)) == (0.5, flagged)
-    values, degenerate = engine.infer_batch(np.array([[0.0]]))
+    values, degenerate = infer_batches([engine], np.array([[0.0]]))[0]
     assert (values.tolist(), degenerate.tolist()) == ([0.5], [flagged])
 
 
@@ -271,7 +271,7 @@ def test_fire_on_uneven_rulebase_is_the_ordered_product(source):
 @pytest.mark.parametrize("token", CLOSED_TOKENS)
 def test_infer_batch_matches_infer_on_uneven_rulebase(token):
     engine = build_engine(uneven_rulebase(), token)
-    values, degenerate = engine.infer_batch(np.array(UNEVEN_POINTS))
+    values, degenerate = infer_batches([engine], np.array(UNEVEN_POINTS))[0]
     for x, v, d in zip(UNEVEN_POINTS, values.tolist(), degenerate.tolist()):
         r = engine.infer(x)
         assert (v.hex(), d) == (r.value.hex(), r.degenerate), x
@@ -306,7 +306,7 @@ BATCH_BASES = {"demo": lambda: RB, "split": lambda: split_rulebase(RB),
 def test_infer_batch_matches_infer_bitwise(base, token):
     rb = BATCH_BASES[base]()
     engine = build_engine(rb, token)
-    values, degenerate = engine.infer_batch(np.array(BATCH_POINTS))
+    values, degenerate = infer_batches([engine], np.array(BATCH_POINTS))[0]
     assert values.dtype == np.float64 and degenerate.dtype == np.bool_
     assert len(values) == len(degenerate) == len(BATCH_POINTS)
     for x, v, d in zip(BATCH_POINTS, values.tolist(), degenerate.tolist()):
@@ -316,12 +316,12 @@ def test_infer_batch_matches_infer_bitwise(base, token):
 
 def test_infer_batch_empty_and_wrong_shape():
     engine = ClosedFormEngine(RB, CFG)
-    values, degenerate = engine.infer_batch(np.empty((0, 2)))
+    values, degenerate = infer_batches([engine], np.empty((0, 2)))[0]
     assert values.shape == degenerate.shape == (0,)
     assert values.dtype == np.float64 and degenerate.dtype == np.bool_
     for bad in (np.zeros((3, 1)), np.zeros((3, 3)), np.zeros(2), np.zeros((1, 2, 1))):
         with pytest.raises(ValueError, match="expected an"):
-            engine.infer_batch(bad)
+            infer_batches([engine], bad)
 
 
 @pytest.mark.parametrize("suffix", ["", "-exact"])

@@ -8,7 +8,6 @@ import pytest
 from it2fuzz import (
     BoundSource,
     ClosedFormEngine,
-    DomainTooNarrow,
     EngineConfig,
     Form,
     IT2Gaussian,
@@ -21,7 +20,7 @@ from it2fuzz import (
     coa_decomposition_check,
     default_rulebase,
 )
-from it2fuzz import cli
+from it2fuzz import cli, dump_rulebase
 from it2fuzz.reference import _output_grid
 
 from helpers import collapsed_rulebase, split_rulebase
@@ -30,29 +29,26 @@ RB = default_rulebase()
 EXACT = EngineConfig(bound_source=BoundSource.EXACT)
 NT = EngineConfig(form=Form.NT_CLOSED)
 NT_EXACT = EngineConfig(form=Form.NT_CLOSED, bound_source=BoundSource.EXACT)
+REF_CONFIGS = {"gc-ref": EngineConfig(), "gc-ref-exact": EXACT,
+               "nt-ref": NT, "nt-ref-exact": NT_EXACT}
+
+
+def scaled_demo(k):
+    """The demo with every consequent times k: its hull is [-k, k]."""
+    return RuleBase(RB.partitions, tuple(Rule(r.antecedent, k * r.consequent)
+                                         for r in RB.rules))
 
 
 def test_config_validation():
     # an int config of 2001 points in the cache must not let an equal
     # float count through on the cache hit
     ReferenceEngine(RB, ref=RefConfig(grid_points=2001))
-    for kwargs in ({"grid_points": 100}, {"grid_points": 2001.0}, {"grid_points": 2003.0},
-                   {"grid_points": True}, {"grid_points": "2001"}, {"domain": (1.0, -1.0)},
-                   {"domain": (-math.inf, 1.5)}, {"domain": (-1.5, math.inf)},
-                   {"domain": (-1e308, 1e308)}, {"domain": (math.nan, 1.5)},
+    for kwargs in ({"grid_points": 2001.0}, {"grid_points": 2003.0},
+                   {"grid_points": True}, {"grid_points": "2001"},
                    {"consequent_width": 0.0}, {"consequent_width": math.inf},
                    {"consequent_width": math.nan}):
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(ValueError):
             RefConfig(**kwargs)
-        assert not isinstance(info.value, DomainTooNarrow)
-
-
-def test_domain_is_a_float_tuple():
-    ref = RefConfig(domain=[-2, 1.5])
-    assert ref.domain == (-2.0, 1.5) and all(type(v) is float for v in ref.domain)
-    assert hash(ref) == hash(RefConfig(domain=(-2.0, 1.5)))
-    assert ReferenceEngine(RB, ref=ref)._gmat is ReferenceEngine(
-        RB, ref=RefConfig(domain=(-2.0, 1.5)))._gmat
 
 
 def test_consequent_rows_peak_at_centers():
@@ -67,10 +63,62 @@ def test_consequent_rows_peak_at_centers():
         assert u.max() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_domain_too_narrow_rejected():
-    tight = RefConfig(domain=(-1.02, 1.5))  # center -1 is within 5 widths
-    with pytest.raises(DomainTooNarrow):
-        ReferenceEngine(RB, ref=tight)
+def test_grid_spans_the_hull_with_fifty_width_margins():
+    assert _same_bits(ReferenceEngine(RB).ys, np.linspace(-1.5, 1.5, 10001))
+    ref = RefConfig(grid_points=2001, consequent_width=0.02)
+    ys = ReferenceEngine(scaled_demo(3.0), ref=ref).ys
+    assert (ys[0], ys[-1], ys.size) == (-4.0, 4.0, 2001)
+    # a lone center at the origin: -0.0 and 0.0 give one grid
+    p = Partition((-1.0, 1.0), (IT2Gaussian.uncertain_mean(-0.1, 0.1, 0.4),))
+    for c in (0.0, -0.0):
+        ys = ReferenceEngine(RuleBase((p,), (Rule((0,), c),)), EXACT).ys
+        assert (ys[0], ys[-1]) == (-0.5, 0.5)
+
+
+# The demo at its hull's width 2 needs 301 points (spacing 0.01 = the
+# width); fewer, or a hull of 120 on the default grid, is too coarse.
+@pytest.mark.parametrize("k, grid_points", [(60.0, 10001), (1.0, 300), (1.0, 101),
+                                            (1.0, 100), (1.0, 1), (1.0, 0), (1e308, 10001)])
+def test_a_grid_coarser_than_the_width_is_rejected(k, grid_points):
+    ref = RefConfig(grid_points=grid_points)
+    for cfg in REF_CONFIGS.values():
+        with pytest.raises(ValueError, match="grid spacing of at most"):
+            ReferenceEngine(scaled_demo(k), cfg, ref)
+
+
+def test_a_grid_as_fine_as_the_width_is_accepted():
+    # every row still peaks within half a width of its center
+    engine = ReferenceEngine(RB, ref=RefConfig(grid_points=301))
+    assert engine.ys[1] - engine.ys[0] == pytest.approx(0.01, rel=1e-12)
+    assert engine._gmat.max(axis=1).min() >= math.exp(-0.125)
+    assert not engine.infer((0.3, -0.7)).degenerate
+
+
+@pytest.mark.parametrize("k", [3.0, 40.0])
+@pytest.mark.parametrize("token", REF_CONFIGS)
+def test_scaled_consequents_agree_with_the_twin(token, k):
+    rb, cfg = scaled_demo(k), REF_CONFIGS[token]
+    ref, closed = ReferenceEngine(rb, cfg), ClosedFormEngine(rb, cfg)
+    for x in cli.lcg_probes(200):
+        r, c = ref.infer(x), closed.infer(x)
+        assert not r.degenerate and not c.degenerate
+        assert abs(r.value - c.value) <= 1e-9, x
+
+
+@pytest.mark.parametrize("argv", [["bench", "--probes", "50"],
+                                  ["surface", "--grid", "5", "--engine", "gc-ref"]],
+                         ids=["bench", "surface"])
+@pytest.mark.parametrize("k, code", [(3.0, 0), (60.0, 2)])
+def test_cli_reference_on_scaled_consequents(argv, k, code, tmp_path, capsys):
+    rules = tmp_path / "scaled.json"
+    dump_rulebase(scaled_demo(k), rules)
+    assert cli.main(argv + ["--rules", str(rules), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == "" and (tmp_path / "out").exists()
+    else:
+        assert err.startswith("error: consequent centers -60.0 to 60.0 need a grid spacing")
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 def test_single_rule_fou_scales_with_firing():
@@ -219,14 +267,15 @@ def test_reference_agrees_with_closed_forms_at_spots():
 
 
 def test_error_does_not_grow_as_width_halves():
-    # keep the grid density per consequent width fixed while shrinking it
+    # keep the grid spacing at 0.03 widths while shrinking the width; the
+    # grid spans the hull [-1, 1] and 50 widths either side
     probes = [(float(a), float(b)) for a in np.linspace(-1.0, 1.0, 5)
               for b in np.linspace(-1.0, 1.0, 5)]
     closed = ClosedFormEngine(RB)
     errs = []
     for w in (0.08, 0.04, 0.02, 0.01, 0.005):
-        ref = RefConfig(consequent_width=w, grid_points=round(100.0 / w) + 1)
-        eng = ReferenceEngine(RB, ref=ref)
+        n = round((2.0 + 100.0 * w) / (0.03 * w)) + 1
+        eng = ReferenceEngine(RB, ref=RefConfig(grid_points=n, consequent_width=w))
         errs.append(max(abs(eng.infer(p).value - closed.infer(p).value)
                         for p in probes))
     assert all(b <= a + 1e-9 for a, b in zip(errs, errs[1:]))
@@ -234,8 +283,11 @@ def test_error_does_not_grow_as_width_halves():
 
 
 def _grid_and_matrix(centers, ref):
-    """The output grid and consequent rows, by ``ReferenceEngine``'s formula."""
-    ys = np.linspace(ref.domain[0], ref.domain[1], ref.grid_points)
+    """The output grid and consequent rows, by ``ReferenceEngine``'s formula:
+    the grid runs from the lowest center less 50 widths to the highest
+    plus 50 widths."""
+    margin = 50.0 * ref.consequent_width
+    ys = np.linspace(min(centers) - margin, max(centers) + margin, ref.grid_points)
     z = (ys[None, :] - np.asarray(centers)[:, None]) / ref.consequent_width
     return ys, np.exp(-0.5 * z * z)
 
@@ -270,14 +322,15 @@ def test_engines_over_equal_centers_share_one_matrix():
         assert e.ys is engines[0].ys
 
 
-@pytest.mark.parametrize("change", ["center", "grid", "domain", "width"])
+@pytest.mark.parametrize("change", ["center", "hull", "grid", "width"])
 def test_a_different_layout_gets_its_own_matrix(change):
     rb, ref = RB, RefConfig()
-    if change == "center":
-        rules = (Rule(RB.rules[0].antecedent, 0.95),) + RB.rules[1:]
-        rb = RuleBase(RB.partitions, rules)
+    if change in ("center", "hull"):
+        # 0.95 keeps the hull and so the grid; 1.25 widens both
+        b = {"center": 0.95, "hull": 1.25}[change]
+        rb = RuleBase(RB.partitions, (Rule(RB.rules[0].antecedent, b),) + RB.rules[1:])
     else:
-        ref = {"grid": RefConfig(grid_points=5001), "domain": RefConfig(domain=(-2.0, 2.0)),
+        ref = {"grid": RefConfig(grid_points=5001),
                "width": RefConfig(consequent_width=0.02)}[change]
     base, other = ReferenceEngine(RB), ReferenceEngine(rb, ref=ref)
     assert other._gmat is not base._gmat
@@ -306,7 +359,7 @@ SPECIAL_POINTS = [
 @pytest.mark.parametrize("cfg", [EngineConfig(), EXACT], ids=["fitted", "exact"])
 def test_curves_equal_a_matrix_built_here(cfg):
     engine = ReferenceEngine(RB, cfg)
-    assert _same_bits(engine.ys, _grid_and_matrix([], engine.ref)[0])
+    assert _same_bits(engine.ys, _grid_and_matrix([-1.0, 1.0], engine.ref)[0])
     points = cli.lcg_probes(200) + SPECIAL_POINTS
     for x, (upper, lower) in zip(points, _expected_curves(engine, points)):
         u, l = engine.curves(x)
@@ -328,37 +381,30 @@ def test_more_layouts_than_the_cache_holds_still_infer_correctly():
     assert engines[-1].infer(x) == engines[0].infer(x)
 
 
-# Layouts whose nonzero spans differ: the default (every span inside the
-# grid), consequents wide enough that no row underflows, the demo's outer
-# centers at the 5-width margin (their spans reach the grid's ends) and a
-# coarse grid on which the +-1 rows underflow everywhere.
-SPAN_LAYOUTS = {"default": RefConfig(), "wide": RefConfig(consequent_width=0.1),
-                "margin": RefConfig(domain=(-1.05, 1.05)),
-                "underflow": RefConfig(grid_points=101, consequent_width=1e-5)}
+# Layouts whose nonzero spans differ, all on 10,001 points: the default
+# (spans of 2,573-2,574 points over [-1.5, 1.5]), consequents ten times as
+# wide (6,433-6,434 over [-6, 6]) and the demo's consequents times 40 (95
+# over [-40.5, 40.5]).  With 50-width margins no span reaches either end.
+SPAN_LAYOUTS = {"default": (RB, RefConfig()), "wide": (RB, RefConfig(consequent_width=0.1)),
+                "hull": (scaled_demo(40.0), RefConfig())}
 
 
 @pytest.mark.parametrize("name", SPAN_LAYOUTS)
 def test_spans_are_first_and_last_nonzero(name):
-    engine = ReferenceEngine(RB, ref=SPAN_LAYOUTS[name])
+    rb, ref = SPAN_LAYOUTS[name]
+    engine = ReferenceEngine(rb, ref=ref)
     n = engine.ys.size
     for row, span in zip(engine._gmat, engine._spans):
         nonzero = [i for i, v in enumerate(row.tolist()) if v != 0.0]
-        assert span == ((nonzero[0], nonzero[-1] + 1) if nonzero else (0, 0))
-    spans = set(engine._spans)
-    if name == "default":
-        assert all(0 < a < b < n for a, b in spans)
-    elif name == "wide":
-        assert spans == {(0, n)}
-    elif name == "margin":
-        assert min(a for a, _ in spans) == 0 and max(b for _, b in spans) == n
-    else:
-        assert (0, 0) in spans and len(spans) == 2
+        assert span == (nonzero[0], nonzero[-1] + 1)
+        assert 0 < span[0] < span[1] < n
 
 
-@pytest.mark.parametrize("name", ["wide", "margin", "underflow"])
+@pytest.mark.parametrize("name", ["wide", "hull"])
 @pytest.mark.parametrize("cfg", [EngineConfig(), EXACT], ids=["fitted", "exact"])
 def test_span_sweep_equals_a_full_row_sweep(cfg, name):
-    engine = ReferenceEngine(RB, cfg, SPAN_LAYOUTS[name])
+    rb, ref = SPAN_LAYOUTS[name]
+    engine = ReferenceEngine(rb, cfg, ref)
     points = cli.lcg_probes(20) + SPECIAL_POINTS
     for x, (upper, lower) in zip(points, _expected_curves(engine, points)):
         u, l = engine.curves(x)

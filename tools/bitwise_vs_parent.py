@@ -149,6 +149,7 @@ def dump() -> dict[str, str]:
     import numpy as np
     from helpers import collapsed_rulebase, split_rulebase
     from it2fuzz import cli, pendulum
+    from it2fuzz.engine import infer_batches
     from it2fuzz.mf import IT2Gaussian, default_fit_window, fit_bounds
     from it2fuzz.rulebase import default_rulebase
     from perfbench.workloads import DesignWorkload, SurfaceWorkload
@@ -216,7 +217,7 @@ def dump() -> dict[str, str]:
             engine = cli.build_engine(rb, token)
             fire = [v.hex() for x in xs for f in engine.fire(x) for v in f]
             infer = [f"{r.value.hex()}:{r.degenerate}" for r in map(engine.infer, xs)]
-            values, degenerate = engine.infer_batch(np.array(xs))
+            values, degenerate = infer_batches([engine], np.array(xs))[0]
             batch = [f"{v.hex()}:{d}" for v, d in zip(values.tolist(), degenerate.tolist())]
             out[f"fire/{base}/{token}"] = _sha1(",".join(fire))
             out[f"infer/{base}/{token}"] = _sha1(",".join(infer))
