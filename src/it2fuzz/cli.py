@@ -25,7 +25,6 @@ import itertools
 import json
 import math
 import os
-import statistics
 import sys
 import time
 from dataclasses import dataclass
@@ -263,6 +262,7 @@ def run_bench(rb: RuleBase, engine_tokens: tuple[str, ...], probes: int,
     (``gc``, ``nt``) with exactly one reference present gets a speedup, its
     mean over its twin's, the closed token of the same ``EngineConfig``.
     """
+    import statistics  # here, so that importing the package does not load it
     if probes < 1:
         raise CliError("no probes")
     modes = {t: parse_engine_mode(t) for t in engine_tokens}

@@ -136,6 +136,9 @@ def coa_decomposition_check(ys: np.ndarray, upper: np.ndarray,
     return lhs, rhs
 
 
+_last_curves = None  # (gmat, firing, (upper, lower)) of the last sweep
+
+
 class ReferenceEngine:
     """Discretized twin of ``ClosedFormEngine(rb, cfg)``, same infer(x) surface.
 
@@ -144,11 +147,12 @@ class ReferenceEngine:
     ``cfg.bound_source`` the bounds the rules fire through, ``ref`` the
     grid (a ValueError if too coarse for the centers, see ``_output_grid``).
     ``curves(x)`` gives the output FOU that ``infer(x)`` defuzzifies,
-    sampled at ``ys``.  The consequent matrix is input-independent:
+    sampled at ``ys``, in read-only arrays it may share with a twin
+    engine's last call.  The consequent matrix is input-independent:
     engines over the same consequent centers and grid share one,
-    read-only, as they share the read-only ``ys``, and it is
-    built again only once its layout has left the small cache of recent
-    layouts (``_output_grid``).  Each infer adds a row only over its
+    read-only, as they share the read-only ``ys``, and it is built again
+    only once its layout has left the small cache of recent layouts
+    (``_output_grid``).  Each infer adds a row only over its
     nonzero span: beyond it the row is exactly 0.0, and adding a finite
     firing times 0.0 to a sum that starts at +0.0 changes no bit, so the
     curves equal a full-row sweep's bit for bit.  A non-finite firing
@@ -173,15 +177,25 @@ class ReferenceEngine:
         self.ys, self._gmat, self._spans = _output_grid(tuple(centers), ref)
 
     def curves(self, x: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """Upper and lower output curves at x: firing times consequent rows, summed."""
+        """Upper and lower output curves at x: firing times consequent rows, summed.
+
+        Both are read-only.  The last sweep is kept, in one assignment, and
+        returned again to any engine over the same matrix (``is``: the memo
+        holds it, so its id is not reused) at an equal firing (``==``), with
+        the same bits: a NaN equals only itself, and a -0.0 equal to 0.0 adds
+        -0.0 times a row to sums that start at +0.0, as firing is ``>= 0``.
+        """
+        global _last_curves
         firing = self._closed.fire(x)
+        gmat, spans = self._gmat, self._spans
+        if (last := _last_curves) and last[0] is gmat and last[1] == firing:
+            return last[2]
         centers = self._centers
         # One fixed accumulation order for both curves: permuting the rule
         # list must not change the result, and using the same order for the
         # upper and the lower curve keeps lower <= upper exact.
         order = sorted(range(len(centers)),
                        key=lambda k: (centers[k], firing[k].lower, firing[k].upper))
-        gmat, spans = self._gmat, self._spans
         n = gmat.shape[1]
         upper = np.zeros(n)
         lower = np.zeros(n)
@@ -192,6 +206,8 @@ class ReferenceEngine:
             row, part = gmat[k, a:b], scratch[a:b]
             upper[a:b] += np.multiply(up, row, out=part)
             lower[a:b] += np.multiply(lo, row, out=part)
+        upper.flags.writeable = lower.flags.writeable = False
+        _last_curves = (gmat, firing, (upper, lower))
         return upper, lower
 
     def infer(self, x: Sequence[float]) -> InferenceResult:

@@ -3,7 +3,10 @@ deletion leaves a stale export or a stale import behind."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +51,12 @@ def stale_imports(path: Path) -> list[str]:
 def test_no_stale_imports():
     assert SOURCES
     assert [s for path in SOURCES for s in stale_imports(path)] == []
+
+
+def test_importing_the_cli_leaves_statistics_unloaded():
+    # Only ``bench`` uses statistics, so only ``run_bench`` imports it.
+    src = str(Path(it2fuzz.__file__).resolve().parent.parent)
+    code = "import sys, it2fuzz.cli; print('statistics' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -336,6 +336,14 @@ def test_a_different_layout_gets_its_own_matrix(change):
     assert other._gmat is not base._gmat
     ys, gmat = _grid_and_matrix([r.consequent for r in rb.rules], ref)
     assert _same_bits(other.ys, ys) and _same_bits(other._gmat, gmat)
+    # The same antecedents fire the same, yet the last curves are not reused.
+    x = (0.3, -0.7)
+    assert base._closed.fire(x) == other._closed.fire(x)
+    last = base.curves(x)
+    (upper, lower), = _expected_curves(other, [x])
+    u, l = other.curves(x)
+    assert u is not last[0] and l is not last[1]
+    assert _same_bits(u, upper) and _same_bits(l, lower)
 
 
 def test_shared_arrays_are_read_only():
@@ -373,11 +381,16 @@ def test_more_layouts_than_the_cache_holds_still_infer_correctly():
     # and a new engine over one of them builds it again.
     engines.append(ReferenceEngine(RB, ref=RefConfig(consequent_width=widths[0])))
     assert engines[-1]._gmat is not engines[0]._gmat
+    # Every engine fires the same at x, but none shares another's matrix,
+    # so none may take the curves the engine before it left.
     x = (0.3, -0.7)
-    for e in engines:
+    last = None
+    for e in [*engines, engines[0], engines[-1]]:
         (upper, lower), = _expected_curves(e, [x])
         u, l = e.curves(x)
+        assert last is None or (u is not last[0] and l is not last[1])
         assert _same_bits(u, upper) and _same_bits(l, lower)
+        last = u, l
     assert engines[-1].infer(x) == engines[0].infer(x)
 
 
@@ -419,3 +432,85 @@ def test_nan_input_gives_all_nan_curves(x):
         u, l = engine.curves(x)
         assert np.isnan(u).all() and np.isnan(l).all()
         assert _same_bits(u, upper) and _same_bits(l, lower)
+
+
+# The gc and nt twins of one bound source, which perfbench's ``design`` op
+# infers in turn at each probe.
+TWIN_PAIRS = {"fitted": (EngineConfig(), NT), "exact": (EXACT, NT_EXACT)}
+
+
+@pytest.mark.parametrize("pair", TWIN_PAIRS)
+def test_interleaved_twins_share_one_sweep(pair):
+    gc, nt = (ReferenceEngine(RB, cfg) for cfg in TWIN_PAIRS[pair])
+    points = cli.lcg_probes(50) + SPECIAL_POINTS
+    last, last_firing = (None, None), None
+    for x, (upper, lower) in zip(points, _expected_curves(gc, points)):
+        firing = nt._closed.fire(x)
+        assert gc._closed.fire(x) == firing
+        missed = gc.curves(x)
+        if firing != last_firing:  # else gc takes the curves of the point before
+            assert missed[0] is not last[0] and missed[1] is not last[1]
+        hit = nt.curves(x)
+        assert hit[0] is missed[0] and hit[1] is missed[1]
+        for u, l in (missed, hit):
+            assert _same_bits(u, upper) and _same_bits(l, lower)
+        last, last_firing = hit, firing
+
+
+def test_returned_curves_are_read_only():
+    gc, nt = ReferenceEngine(RB), ReferenceEngine(RB, NT)
+    x = (0.3, -0.7)
+    for curves in (gc.curves(x), nt.curves(x)):
+        for curve in curves:
+            before = curve.tobytes()
+            with pytest.raises(ValueError):
+                curve[0] = 1.0
+            with pytest.raises(ValueError):
+                np.multiply(curve, 2.0, out=curve)
+            assert curve.tobytes() == before
+
+
+@pytest.mark.parametrize("pair", TWIN_PAIRS)
+@pytest.mark.parametrize("x", [(math.nan, 0.1), (0.3, math.nan), (math.nan, math.nan),
+                               (math.inf, 0.2), (-0.4, -math.inf), (-math.inf, math.inf)])
+def test_interleaved_twins_at_non_finite_inputs(pair, x):
+    gc, nt = (ReferenceEngine(RB, cfg) for cfg in TWIN_PAIRS[pair])
+    (upper, lower), = _expected_curves(gc, [x])
+    curves = []
+    for e in (gc, nt, gc, nt):
+        u, l = e.curves(x)
+        assert _same_bits(u, upper) and _same_bits(l, lower)
+        assert e.infer(x) == (0.0, True)
+        curves.append(u)
+    # A NaN firing equals no other, so each NaN call sweeps anew.
+    if any(map(math.isnan, x)):
+        assert len({id(u) for u in curves}) == len(curves)
+
+
+def test_a_different_firing_over_the_same_matrix_does_not_hit():
+    gc, gc_exact, nt = ReferenceEngine(RB), ReferenceEngine(RB, EXACT), ReferenceEngine(RB, NT)
+    x, y = (0.3, -0.7), (-1.0, 0.25)
+    assert gc._closed.fire(x) != gc_exact._closed.fire(x)
+    assert gc._closed.fire(x) != gc._closed.fire(y)
+    last = None
+    for e, p in ((gc, x), (gc_exact, x), (gc, y), (nt, x), (gc_exact, y)):
+        assert e._gmat is gc._gmat
+        (upper, lower), = _expected_curves(e, [p])
+        u, l = e.curves(p)
+        assert last is None or (u is not last[0] and l is not last[1])
+        assert _same_bits(u, upper) and _same_bits(l, lower)
+        last = u, l
+
+
+def test_a_firing_one_ulp_off_does_not_hit():
+    gc, nt = ReferenceEngine(RB), ReferenceEngine(RB, NT)
+    x = (0.3, -0.7)
+    firing = nt._closed.fire(x)
+    for k, bound in enumerate(firing):
+        for field in bound._fields:
+            nudged = list(firing)
+            nudged[k] = bound._replace(**{field: math.nextafter(getattr(bound, field), 1.0)})
+            nt._closed.fire = lambda x, nudged=nudged: nudged
+            u, l = gc.curves(x)
+            nu, nl = nt.curves(x)
+            assert nu is not u and nl is not l

@@ -34,6 +34,13 @@ first on the path, and prints one sha1 per key:
   the same four reference tokens at each demo point of ``ref/``, so a
   NaN or a signed zero anywhere on the grid counts, not only the
   centroid ``infer`` takes of it;
+* ``ref-pairs/...``: the same ``design`` bases and points, each through a
+  twin pair, ``gc-ref`` with ``nt-ref`` and ``gc-ref-exact`` with
+  ``nt-ref-exact``, inferring with one engine and then the other at each
+  point as the ``design`` op does, then taking both engines' ``curves``:
+  ``float.hex`` and flag of each ``infer`` and the bytes of each curve.
+  ``ref/`` and ``curves/`` run one engine over all its points before the
+  next, so only here does an engine meet the curves its twin just swept;
 * ``samples/...``: the bytes of ``umf_samples`` and ``lmf_samples`` on the
   default fit grid (``default_fit_window``, 1001 points) of each ``fit/``
   FOU below and of three uncertain-sigma sets (``SIGMA_FOUS``);
@@ -70,6 +77,7 @@ SPECIAL_POINTS = ((0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (30.0, -30.0),
                   (math.inf, 0.2), (-0.4, -math.inf), (math.nan, 0.1), (0.3, math.nan))
 
 REF_TOKENS = ("gc-ref", "nt-ref", "gc-ref-exact", "nt-ref-exact")
+REF_PAIRS = (("gc-ref", "nt-ref"), ("gc-ref-exact", "nt-ref-exact"))
 REF_DESIGN_OPS = 20
 FIT_SPREADS = tuple(k / 100 for k in range(21))
 SIGMA_FOUS = ((0.0, 0.2, 0.35), (-0.4, 0.3, 0.3), (0.7, 0.05, 0.6))
@@ -205,6 +213,17 @@ def dump() -> dict[str, str]:
             if base == "demo":
                 out[f"curves/{base}/{token}"] = _sha1(b"".join(
                     u.tobytes() + l.tobytes() for u, l in map(engine.curves, xs)))
+    design_cases = [base for base in ref_cases if base != "demo"]
+    for base, pair in itertools.product(design_cases, REF_PAIRS):
+        rb, xs = ref_cases[base]
+        engines = [cli.build_engine(rb, token) for token in pair]
+        h = hashlib.sha1()
+        for x in xs:
+            for r in [engine.infer(x) for engine in engines]:
+                h.update(f"{r.value.hex()}:{r.degenerate},".encode())
+            for engine in engines:
+                h.update(b"".join(c.tobytes() for c in engine.curves(x)))
+        out[f"ref-pairs/{base}/{'+'.join(pair)}"] = h.hexdigest()
 
     points = cli.lcg_probes(2000) + list(SPECIAL_POINTS)
     cases = {base: (rb, points) for base, rb in bases.items()}
