@@ -1,8 +1,8 @@
 """Command-line workbench: surface export, pendulum runs, bound fitting, benchmarks.
 
-Engine modes are named ``gc-closed``, ``gc-closed-split``, ``nt-closed``,
-``gc-ref``, ``nt-ref``, each optionally suffixed ``-exact`` or ``-fitted``
-to pick the membership bound source (fitted is the default).
+Engine modes are ``<family>[-exact]``, one token per engine, the family one of
+``gc-closed``, ``gc-closed-split``, ``nt-closed``, ``gc-ref``, ``nt-ref``;
+``-exact`` picks the exact FOU bounds over the default fitted ones.
 ``parse_engine_mode`` alone decodes a token, into an ``EngineConfig`` and
 whether it is the sampled reference: ``<family>-ref`` twins ``<family>-closed``.
 
@@ -58,15 +58,14 @@ class CliError(Exception):
 
 
 # Every engine token: a family, with the closed form it computes or is the
-# sampled twin of and whether it is that reference, then a bound source.
+# sampled twin of and whether it is that reference, then ``-exact`` or not.
 _MODES = {family + suffix: (EngineConfig(form, source), ref)
           for family, form, ref in (("gc-closed", Form.GC_CLOSED, False),
                                     ("gc-closed-split", Form.GC_CLOSED_SPLIT, False),
                                     ("nt-closed", Form.NT_CLOSED, False),
                                     ("gc-ref", Form.GC_CLOSED, True),
                                     ("nt-ref", Form.NT_CLOSED, True))
-          for suffix, source in (("", BoundSource.FITTED), ("-fitted", BoundSource.FITTED),
-                                 ("-exact", BoundSource.EXACT))}
+          for suffix, source in (("", BoundSource.FITTED), ("-exact", BoundSource.EXACT))}
 
 
 def parse_engine_mode(token: str) -> tuple[EngineConfig, bool]:

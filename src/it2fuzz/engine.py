@@ -175,10 +175,6 @@ class ClosedFormEngine:
     def _fire(self) -> Callable[[Sequence[float]], list[FiringInterval]]:
         return self._compiled(None)
 
-    def __getstate__(self) -> dict:
-        # Compiled functions cannot be pickled; a copy rebuilds its own.
-        return {k: v for k, v in self.__dict__.items() if k not in ("_infer", "_fire")}
-
     def fire(self, x: Sequence[float]) -> list[FiringInterval]:
         """Per-rule firing intervals at input vector x, in rule order."""
         return self._fire(x)
@@ -269,7 +265,8 @@ def infer_batches(engines: Sequence[ClosedFormEngine],
                                    -np.array(e._cons_l) * los[ok]))
             else:
                 terms = np.array(e._cons) * weights[ok]
-            v = _row_fsum(terms) / den[ok]
+            with np.errstate(over="ignore"):  # a split value can reach inf, as in the kernel
+                v = _row_fsum(terms) / den[ok]
             if not split:
                 # The kernel's clamp into the consequent hull.
                 lo, hi = e._hull
@@ -340,24 +337,18 @@ def _kernel_code(shape: tuple[int, ...], ante: tuple[tuple[int, ...], ...],
     clamp = "return new(IR, (CLO if v < CLO else CHI if v > CHI else v, False))"
     if form is None:
         body = [f"return [{', '.join(f'new(FI, (l{r}, u{r}))' for r in rules)}]"]
-    elif form is Form.NT_CLOSED:
-        body = [f"s{r} = u{r} + l{r}" for r in rules]
-        body += [f"den = fsum({tup('s{r}')})",
-                 "if not den > EPS:",
-                 "    return NOFIRE",
-                 f"v = fsum({tup('c{r} * s{r}')}) / den", clamp]
     else:
-        split = form is Form.GC_CLOSED_SPLIT
-        body = [f"d{r} = u{r} - l{r}" for r in rules]
-        terms = tup("cu{r} * u{r}", "-cl{r} * l{r}") if split else tup("c{r} * d{r}")
-        # A collapsed band falls back to the upper-firing average.
-        body += [f"den = fsum({tup('d{r}')})",
-                 "if not den > EPS:",
-                 f"    uden = fsum({tup('u{r}')})",
-                 "    if not uden > EPS:",
-                 "        return NOFIRE",
-                 f"    return new(IR, (fsum({tup('cu{r} * u{r}' if split else 'c{r} * u{r}')})"
-                 " / uden, True))"]
+        # Every form is a weighted average: weights u + l (nt) or u - l (gc).
+        nt, split = form is Form.NT_CLOSED, form is Form.GC_CLOSED_SPLIT
+        w, c = "s" if nt else "d", "cu" if split else "c"
+        body = [f"{w}{r} = u{r} {'+' if nt else '-'} l{r}" for r in rules]
+        body += [f"den = fsum({tup(w + '{r}')})", "if not den > EPS:"]
+        # nt's weights vanish only with the firing; a collapsed gc band falls
+        # back to the upper-firing average.
+        body += ["    return NOFIRE"] if nt else [
+            f"    uden = fsum({tup('u{r}')})", "    if not uden > EPS:", "        return NOFIRE",
+            f"    return new(IR, (fsum({tup(c + '{r} * u{r}')}) / uden, True))"]
+        terms = tup("cu{r} * u{r}", "-cl{r} * l{r}") if split else tup(c + "{r} * " + w + "{r}")
         body += ([f"return new(IR, (fsum({terms}) / den, False))"] if split
                  else [f"v = fsum({terms}) / den", clamp])
     name = "fire" if form is None else "infer"

@@ -136,7 +136,7 @@ def simulate(engine, cfg: LoopConfig | None = None) -> SimTrace:
     The trace has one row per step boundary including t = 0, with the
     controller quantities evaluated at that row's state.  Raises
     NumericalBlowup (carrying the partial trace) if any state magnitude
-    passes 1e6 or stops being finite.
+    passes 1e6 or stops being finite, within a step as well.
     """
     cfg = cfg if cfg is not None else LoopConfig()
     n_steps = int(math.floor(cfg.duration / cfg.step))
@@ -145,6 +145,7 @@ def simulate(engine, cfg: LoopConfig | None = None) -> SimTrace:
     rows = np.empty((n_steps + 1, 8))
 
     h = cfg.step
+    hh = 0.5 * h  # as 0.5 * h * k evaluates, so the stages keep their bits
     y = float(cfg.initial_angle)
     w = float(cfg.initial_velocity)
     fa = 0.0
@@ -161,10 +162,14 @@ def simulate(engine, cfg: LoopConfig | None = None) -> SimTrace:
         if i == n_steps:
             break
         # Classical RK4; the commanded force f is held for the whole step.
-        k1 = plant_derivatives(y, w, fa, f)
-        k2 = plant_derivatives(y + 0.5 * h * k1[0], w + 0.5 * h * k1[1], fa + 0.5 * h * k1[2], f)
-        k3 = plant_derivatives(y + 0.5 * h * k2[0], w + 0.5 * h * k2[1], fa + 0.5 * h * k2[2], f)
-        k4 = plant_derivatives(y + h * k3[0], w + h * k3[1], fa + h * k3[2], f)
+        try:
+            k1 = plant_derivatives(y, w, fa, f)
+            k2 = plant_derivatives(y + hh * k1[0], w + hh * k1[1], fa + hh * k1[2], f)
+            k3 = plant_derivatives(y + hh * k2[0], w + hh * k2[1], fa + hh * k2[2], f)
+            k4 = plant_derivatives(y + h * k3[0], w + h * k3[1], fa + h * k3[2], f)
+        except ValueError:  # math.sin of a stage angle an infinite force made +-inf
+            raise NumericalBlowup(f"state left the sane range in the step from t = {i * h:.6g} s",
+                                  _trace(rows[:i + 1].copy(), failed=True)) from None
         y += h * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
         w += h * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
         fa += h * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]) / 6.0

@@ -182,6 +182,10 @@ class RuleBase:
             cons = (rule.consequent, rule.consequent_upper, rule.consequent_lower)
             if not all(c is None or math.isfinite(c) for c in cons):
                 out.append(Violation("non_finite", f"rule {pos} has a non-finite consequent"))
+            elif any(c is not None and abs(c) > 1e300 for c in cons):
+                # Then no closed-form sum, at most 2 * rules * 1e300, overflows.
+                out.append(Violation("consequent_range",
+                                     f"rule {pos} has a consequent beyond +-1e300"))
         for k, p in enumerate(self.partitions):
             for j, s in enumerate(p.sets):
                 umf, lmf = s.fitted_umf, s.fitted_lmf

@@ -51,12 +51,11 @@ def partly_collapsed_rulebase() -> RuleBase:
 
 
 def huge_split_rulebase() -> RuleBase:
-    """Collapsed demo with split consequents +-1e308, opposite within a rule
-    and alternating across rules: the regular split terms of a row overflow
-    ``math.fsum`` where its upper-firing average does not."""
+    """Collapsed demo with split consequents +-1e300, the largest a valid
+    rule base holds, opposite within a rule and alternating across rules."""
     rb = collapsed_rulebase()
     return RuleBase(rb.partitions, tuple(
-        Rule(r.antecedent, r.consequent, s * 1e308, -s * 1e308)
+        Rule(r.antecedent, r.consequent, s * 1e300, -s * 1e300)
         for r, s in zip(rb.rules, itertools.cycle((1.0, -1.0)))))
 
 

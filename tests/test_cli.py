@@ -33,19 +33,14 @@ FAMILIES = {
 
 @pytest.mark.parametrize("token, family, source", [
     ("gc-closed", "gc-closed", BoundSource.FITTED),
-    ("gc-closed-fitted", "gc-closed", BoundSource.FITTED),
     ("gc-closed-exact", "gc-closed", BoundSource.EXACT),
     ("gc-closed-split", "gc-closed-split", BoundSource.FITTED),
-    ("gc-closed-split-fitted", "gc-closed-split", BoundSource.FITTED),
     ("gc-closed-split-exact", "gc-closed-split", BoundSource.EXACT),
     ("nt-closed", "nt-closed", BoundSource.FITTED),
-    ("nt-closed-fitted", "nt-closed", BoundSource.FITTED),
     ("nt-closed-exact", "nt-closed", BoundSource.EXACT),
     ("gc-ref", "gc-ref", BoundSource.FITTED),
-    ("gc-ref-fitted", "gc-ref", BoundSource.FITTED),
     ("gc-ref-exact", "gc-ref", BoundSource.EXACT),
     ("nt-ref", "nt-ref", BoundSource.FITTED),
-    ("nt-ref-fitted", "nt-ref", BoundSource.FITTED),
     ("nt-ref-exact", "nt-ref", BoundSource.EXACT),
 ])
 def test_parse_engine_mode_variants(token, family, source):
@@ -55,10 +50,17 @@ def test_parse_engine_mode_variants(token, family, source):
 
 
 @pytest.mark.parametrize("token", ["gc", "closed", "gc-closed-best", "",
-                                   "gc-closed-ref", "gc-ref-split", "gc-split-ref"])
+                                   "gc-closed-ref", "gc-ref-split", "gc-split-ref"]
+                         + [f"{family}-fitted" for family in FAMILIES])
 def test_parse_engine_mode_rejects_unknown(token):
     with pytest.raises(CliError, match="unknown engine mode"):
         parse_engine_mode(token)
+
+
+def test_each_engine_has_one_token():
+    # The fitted bounds are the default; no suffix names them a second time.
+    assert sorted(cli._MODES) == sorted(f + s for f in FAMILIES for s in ("", "-exact"))
+    assert len(set(cli._MODES.values())) == len(cli._MODES) == 10
 
 
 def test_surface_spec_validation():
@@ -228,6 +230,11 @@ def _middle_set(d, **fields):
     return d
 
 
+def _scaled(k):
+    """Every consequent of a rule file times k."""
+    return lambda d: {**d, "rules": [{**r, "b": r["b"] * k} for r in d["rules"]]}
+
+
 def _dominated_lmf(d):
     """Sets N and P of input 0 with fitted umf (c, 0.5, 1.0) and lmf
     (c + 0.1, 0.5, 0.3): equal sigmas, shifted means, so far enough out the
@@ -255,11 +262,11 @@ def _dominated_lmf(d):
     lambda d: {**d, "inputs": [{**d["inputs"][0], "universe": [-1, True]}] + d["inputs"][1:]},
     lambda d: _middle_set(d, sigma=math.inf),
     lambda d: _middle_set(d, mean_lo=-math.inf, mean_hi=math.inf),
-)] + [(_dominated_lmf, "fitted_dominance")],
+)] + [(_dominated_lmf, "fitted_dominance"), (_scaled(1.7e308), "consequent_range")],
     ids=["top_level_list", "scalar_antecedent", "scalar_inputs", "nan_fitted_mean",
          "reversed_universe", "unknown_kind", "float_antecedent", "bool_consequent",
          "string_names", "string_sigma", "bool_fitted_scale", "bool_universe_end",
-         "infinite_sigma", "infinite_means", "fitted_dominance"])
+         "infinite_sigma", "infinite_means", "fitted_dominance", "huge_consequents"])
 def test_surface_rejects_malformed_rule_file(mangle, code, tmp_path, capsys):
     d = rulebase_to_dict(default_rulebase())
     rules = tmp_path / "malformed.json"
@@ -269,6 +276,22 @@ def test_surface_rejects_malformed_rule_file(mangle, code, tmp_path, capsys):
                str(tmp_path / "x.csv")])
     assert rc == 2
     assert f"error: invalid rule base:\n  [{code}] " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, at_limit", [
+    (["surface", "--grid", "41", "--engine", "gc-closed-exact,nt-closed-exact"], 0),
+    (["bench", "--probes", "2000", "--engine", "gc-closed,nt-closed"], 0),
+    (["pendulum"], 3),
+], ids=["surface", "bench", "pendulum"])
+def test_consequents_beyond_the_limit_exit_2(argv, at_limit, tmp_path, capsys):
+    # Sums of such consequents overflow; at the limit the closed forms run
+    # and the pendulum blows up cleanly.
+    rules = tmp_path / "scaled.json"
+    for k, rc in ((1e306, 2), (1.7e308, 2), (1e300, at_limit)):
+        rules.write_text(json.dumps(_scaled(k)(rulebase_to_dict(default_rulebase()))))
+        assert main(argv + ["--rules", str(rules), "--out", str(tmp_path / "x")]) == rc, k
+        err = capsys.readouterr().err
+        assert ("[consequent_range] rule 0 " in err) == (rc == 2) and "Traceback" not in err
 
 
 # Text that is not JSON: a syntax error, and nesting past the parser's depth.

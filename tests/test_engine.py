@@ -314,6 +314,19 @@ def test_infer_batch_matches_infer_bitwise(base, token):
         assert (v.hex(), d) == (r.value.hex(), r.degenerate), x
 
 
+def test_infer_batch_matches_infer_where_the_split_value_overflows():
+    # Consequents at the validation limit over a band ~1e-11 thin: the
+    # split value passes the float range.  The kernel returns it unflagged
+    # (ROADMAP, Fix first 1); the batch path returns the same, with no
+    # overflow warning.
+    rb = one_rule_base(0.3, 0.30000000001, 0.0, 1e300, -1e300)
+    engine = ClosedFormEngine(rb, EngineConfig(Form.GC_CLOSED_SPLIT, BoundSource.EXACT))
+    xs = [(0.5,), (-1.0,), (0.0,), (3.0,)]
+    values, degenerate = infer_batches([engine], np.array(xs))[0]
+    assert list(zip(values.tolist(), degenerate.tolist())) == list(map(engine.infer, xs))
+    assert not degenerate[0] and math.isinf(values[0])
+
+
 def test_infer_batch_empty_and_wrong_shape():
     engine = ClosedFormEngine(RB, CFG)
     values, degenerate = infer_batches([engine], np.empty((0, 2)))[0]

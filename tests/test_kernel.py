@@ -1,7 +1,6 @@
 """The compiled scalar kernel against the loop oracle, bit for bit."""
 
 import math
-import pickle
 
 import pytest
 
@@ -102,18 +101,6 @@ def test_engines_of_one_structure_share_code_not_values(token):
         fn = getattr(a, f"_{name}")
         called = {k for k, v in fn.__globals__.items() if callable(v) and v is not fn}
         assert called <= {"exp", "fsum", "new", "IR", "FI"}
-
-
-@pytest.mark.parametrize("token", ("gc-closed", "nt-closed-exact"))
-def test_engine_pickles_after_its_kernel_is_built(token):
-    engine = build_engine(DEMO, token)
-    x = (0.3, -0.7)
-    want = engine.infer(x)
-    engine.fire(x)
-    copy = pickle.loads(pickle.dumps(engine))
-    assert not {"_infer", "_fire"} & vars(copy).keys()
-    assert copy.infer(x) == want
-    assert copy.fire(x) == engine.fire(x)
 
 
 def test_infer_and_fire_each_compile_on_their_own_first_call():

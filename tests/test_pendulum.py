@@ -165,14 +165,15 @@ def test_blowup_raises_with_partial_trace():
 
 
 def test_non_finite_force_raises_with_one_row_trace():
-    # the NaN force reaches the state in the first RK4 step, so only the
-    # t = 0 row is recorded
-    with pytest.raises(NumericalBlowup, match="sane range") as exc:
-        simulate(ConstantEngine(math.nan), LoopConfig(duration=1.0))
-    trace = exc.value.trace
-    assert trace.failed
-    assert trace.times.size == 1 and trace.angles[0] == 0.1
-    assert math.isnan(trace.forces[0])
+    # a NaN, infinite or overflowing force reaches the state in the first
+    # RK4 step, so only the t = 0 row is recorded
+    for u in (math.nan, math.inf, -math.inf, 1e306):
+        with pytest.raises(NumericalBlowup, match="sane range") as exc:
+            simulate(ConstantEngine(u), LoopConfig(duration=1.0))
+        trace = exc.value.trace
+        assert trace.failed
+        assert trace.times.size == 1 and trace.angles[0] == 0.1
+        assert trace.forces[0].hex() == (FORCE_GAIN * u).hex(), u
 
 
 def test_write_trace_csv_round_trips(tmp_path):

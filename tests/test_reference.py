@@ -78,7 +78,7 @@ def test_grid_spans_the_hull_with_fifty_width_margins():
 # The demo at its hull's width 2 needs 301 points (spacing 0.01 = the
 # width); fewer, or a hull of 120 on the default grid, is too coarse.
 @pytest.mark.parametrize("k, grid_points", [(60.0, 10001), (1.0, 300), (1.0, 101),
-                                            (1.0, 100), (1.0, 1), (1.0, 0), (1e308, 10001)])
+                                            (1.0, 100), (1.0, 1), (1.0, 0), (1e300, 10001)])
 def test_a_grid_coarser_than_the_width_is_rejected(k, grid_points):
     ref = RefConfig(grid_points=grid_points)
     for cfg in REF_CONFIGS.values():

@@ -23,6 +23,10 @@ first on the path, and prints one sha1 per key:
   same probes widened to three inputs or cut to one, and a partly
   collapsed one (``partly_collapsed_base``), whose regular, upper-average
   and no-firing rows interleave;
+* ``kernel/...``: for the same engines, the ``co_code``, ``co_consts``,
+  ``co_names`` and ``co_varnames`` of the compiled ``infer`` and ``fire``
+  (``_infer`` and ``_fire``), so a change to the generated kernels shows
+  even where no output moves;
 * ``ref/...``: ``float.hex`` and flag of every ``infer`` of ``gc-ref``,
   ``nt-ref``, ``gc-ref-exact`` and ``nt-ref-exact`` on the demo over
   ``lcg_probes(200)``, signed zeros, infinities and NaN, and on the rule
@@ -241,6 +245,10 @@ def dump() -> dict[str, str]:
             out[f"fire/{base}/{token}"] = _sha1(",".join(fire))
             out[f"infer/{base}/{token}"] = _sha1(",".join(infer))
             out[f"infer_batch/{base}/{token}"] = _sha1(",".join(batch))
+            for name in ("infer", "fire"):
+                code = getattr(engine, f"_{name}").__code__
+                out[f"kernel/{base}/{token}/{name}"] = _sha1(repr(
+                    (code.co_code, code.co_consts, code.co_names, code.co_varnames)))
 
     mean_sets = {f"{dmu!r},{sigma!r}": IT2Gaussian.uncertain_mean(-dmu, dmu, sigma)
                  for dmu, sigma in fous}
