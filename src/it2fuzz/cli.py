@@ -21,7 +21,6 @@ timings themselves.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -124,10 +123,6 @@ def _load_rules(path: str | None) -> RuleBase:
     return rb
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 # -- surface ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -146,8 +141,8 @@ class SurfaceSpec:
         lo, hi = self.axis_range
         if not lo < hi:
             raise ValueError(f"bad axis range ({lo}, {hi})")
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"axis range ends must be finite, got ({lo}, {hi})")
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"axis range ends and width must be finite, got ({lo}, {hi})")
         if not self.engines:
             raise ValueError("at least one engine required")
 
@@ -164,18 +159,19 @@ def generate_surface(rb: RuleBase, spec: SurfaceSpec) -> list[str]:
     nothing.
     """
     engines = [build_engine(rb, tok) for tok in spec.engines]
-    axis = np.linspace(spec.axis_range[0], spec.axis_range[1], spec.grid)
-    points = [(x1, x2) for x1 in axis for x2 in axis]
+    g = spec.grid
+    axis = np.linspace(spec.axis_range[0], spec.axis_range[1], g)
+    points = np.column_stack((np.repeat(axis, g), np.tile(axis, g)))
     batches = iter(infer_batches(
-        [e for e in engines if isinstance(e, ClosedFormEngine)], np.array(points)))
+        [e for e in engines if isinstance(e, ClosedFormEngine)], points))
     columns = [next(batches)[0].tolist() if isinstance(e, ClosedFormEngine)
-               else [e.infer(x).value for x in points]
+               else [e.infer(x).value for x in points.tolist()]
                for e in engines]
-    labels = [_fmt(v) for v in axis.tolist()]
+    labels = [f"{v:.17g}" for v in axis.tolist()]
+    pairs = [f"{l1},{l2}" for l1 in labels for l2 in labels]
+    row = "%s" + ",%.17g" * len(columns)
     lines = ["x1,x2," + ",".join(spec.engines)]
-    lines.extend(f"{l1},{l2}," + ",".join(map(_fmt, vals))
-                 for (l1, l2), vals in zip(itertools.product(labels, repeat=2),
-                                           zip(*columns)))
+    lines.extend(row % vals for vals in zip(pairs, *columns))
     return lines
 
 

@@ -381,3 +381,17 @@ def lcg_stream(count, seed):
         state = (1664525 * state + 1013904223) % (2 ** 32)
         out.append(state / 2 ** 31 - 1.0)
     return out
+
+
+def surface_lines(engines, tokens, grid, axis_range=(-1.0, 1.0)):
+    """The surface CSV the CLI documents, one point and one value at a time:
+    an evenly spaced axis, x1 slowest, every number at 17 significant digits."""
+    lo, hi = axis_range
+    axis = np.linspace(lo, hi, grid).tolist()
+    lines = ["x1,x2," + ",".join(tokens)]
+    for x1 in axis:
+        for x2 in axis:
+            line = f"{x1:.17g},{x2:.17g},"
+            line += ",".join(f"{e.infer((x1, x2)).value:.17g}" for e in engines)
+            lines.append(line)
+    return lines

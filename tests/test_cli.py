@@ -69,9 +69,11 @@ def test_surface_spec_validation():
             SurfaceSpec(grid=grid)
     with pytest.raises(ValueError):
         SurfaceSpec(axis_range=(1.0, -1.0))
-    for axis_range in ((-math.inf, 1.0), (-1.0, math.inf)):
+    # (-1e308, 1e308) has finite ends, but its width overflows to inf.
+    for axis_range in ((-math.inf, 1.0), (-1.0, math.inf), (-1e308, 1e308)):
         with pytest.raises(ValueError, match="finite"):
             SurfaceSpec(axis_range=axis_range)
+    assert SurfaceSpec(axis_range=(-8e307, 8e307)).axis_range == (-8e307, 8e307)
     with pytest.raises(ValueError):
         SurfaceSpec(engines=())
 
@@ -136,16 +138,18 @@ def test_surface_batches_closed_forms_only(monkeypatch):
     assert calls == {"firing": 2, "row_fsum": 4, "infer": 0, "ref": 9}
 
 
-def test_surface_fires_once_per_bound_source(monkeypatch):
-    # The perfbench surface op's six tokens: per bound source one firing
-    # pass, one denominator shared by the gc forms, one for nt, and one
-    # numerator per form.
-    tokens = tuple(f"{f}{s}" for s in ("", "-exact")
+# The perfbench surface op's six tokens.
+SIX_CLOSED = tuple(f"{f}{s}" for s in ("", "-exact")
                    for f in ("gc-closed", "gc-closed-split", "nt-closed"))
+
+
+def test_surface_fires_once_per_bound_source(monkeypatch):
+    # Per bound source one firing pass, one denominator shared by the gc
+    # forms, one for nt, and one numerator per form.
     rb = split_rulebase(RB)
-    want = generate_surface(rb, SurfaceSpec(grid=5, engines=tokens[:1]))
+    want = generate_surface(rb, SurfaceSpec(grid=5, engines=SIX_CLOSED[:1]))
     calls = count_surface_calls(monkeypatch)
-    lines = generate_surface(rb, SurfaceSpec(grid=5, engines=tokens))
+    lines = generate_surface(rb, SurfaceSpec(grid=5, engines=SIX_CLOSED))
     assert calls == {"firing": 2, "row_fsum": 10, "infer": 0, "ref": 0}
     assert [line.split(",")[:3] for line in lines[1:]] == [
         line.split(",") for line in want[1:]]
@@ -160,6 +164,28 @@ def test_surface_planted_nan_engine_skips_the_batch(monkeypatch):
     lines = generate_surface(RB, SurfaceSpec(grid=3, engines=("gc-closed", "nt-closed")))
     assert calls["firing"] == 0
     assert all(line.endswith(",nan,nan") for line in lines[1:])
+
+
+@pytest.mark.parametrize("rb, tokens, grid, axis_range", [
+    (RB, ("gc-closed", "gc-ref", "nt-closed-exact", "nt-ref-exact"), 7, (-1.0, 1.0)),
+    (split_rulebase(RB), SIX_CLOSED, 7, (-1.0, 1.0)),
+    (RB, ("gc-closed", "gc-ref"), 2, (-1.0, 1.0)),
+    (RB, ("gc-closed-exact", "nt-ref", "nt-closed"), 6, (-0.3, 0.9)),
+], ids=["demo-mixed", "split-six-closed", "grid-2", "asymmetric-range"])
+def test_surface_matches_the_per_point_oracle(rb, tokens, grid, axis_range):
+    # Batch and point-by-point columns alike, byte for byte.
+    engines = [cli.build_engine(rb, t) for t in tokens]
+    assert generate_surface(rb, SurfaceSpec(grid, axis_range, tokens)) == \
+        oracles.surface_lines(engines, tokens, grid, axis_range)
+
+
+def test_surface_with_a_planted_nan_engine_matches_the_per_point_oracle(monkeypatch):
+    nan, build = ConstantEngine(math.nan), cli.build_engine
+    monkeypatch.setattr(cli, "build_engine", lambda rb, token, ref=None:
+                        nan if token == "nt-closed" else build(rb, token))
+    tokens = ("gc-closed", "nt-closed")
+    want = oracles.surface_lines([build(RB, "gc-closed"), nan], tokens, 3)
+    assert generate_surface(RB, SurfaceSpec(grid=3, engines=tokens)) == want
 
 
 def test_surface_deterministic_bytes(tmp_path):

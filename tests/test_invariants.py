@@ -4,7 +4,9 @@ The named bases in ``helpers`` stay as regression anchors; this strategy
 reaches the layouts they miss: one to three inputs of one to four sets,
 both set kinds down to collapsed and near-collapsed FOUs, fitted bounds
 from ``fit()`` or set by hand, crisp or split consequents up to the
-validation limit, and rules in shuffled order.
+validation limit, and rules in shuffled order.  On the same bases a
+dump/load round trip keeps every closed form bit for bit, and on the
+two-input ones the surface CSV equals a per-point formatting byte for byte.
 """
 
 import itertools
@@ -14,9 +16,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from it2fuzz import IT2Gaussian, Partition, Rule, RuleBase, ScaledGaussian
-from it2fuzz.cli import build_engine
+from it2fuzz import (IT2Gaussian, Partition, Rule, RuleBase, ScaledGaussian, dump_rulebase,
+                     load_rulebase)
+from it2fuzz.cli import SurfaceSpec, build_engine, generate_surface
 from it2fuzz.engine import infer_batches
+
+import oracles
 
 CLOSED_TOKENS = ("gc-closed", "gc-closed-split", "nt-closed",
                  "gc-closed-exact", "gc-closed-split-exact", "nt-closed-exact")
@@ -41,10 +46,10 @@ def it2_sets(draw, center):
 
 
 @st.composite
-def rule_bases(draw):
-    """A valid rule base (see the module doc)."""
+def rule_bases(draw, inputs=st.integers(1, 3)):
+    """A valid rule base (see the module doc) with ``inputs`` inputs."""
     partitions = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(inputs)):
         ticks = draw(st.lists(st.integers(-20, 20), min_size=1, max_size=4, unique=True))
         partitions.append(Partition((-1.5, 1.5), tuple(
             draw(it2_sets(k / 20)) for k in sorted(ticks))))
@@ -67,11 +72,16 @@ def points(n):
     return out
 
 
+def supported_tokens(rb):
+    """The closed-form tokens a base supports: split ones need split consequents."""
+    return [t for t in CLOSED_TOKENS if rb.is_split or "split" not in t]
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(rb=rule_bases())
 def test_closed_form_invariants_on_generated_rule_bases(rb):
     assert rb.validate() == []
-    tokens = [t for t in CLOSED_TOKENS if rb.is_split or "split" not in t]
+    tokens = supported_tokens(rb)
     engines = [build_engine(rb, t) for t in tokens]
     xs = points(rb.n_inputs)
     lo, hi = min(r.consequent for r in rb.rules), max(r.consequent for r in rb.rules)
@@ -86,3 +96,28 @@ def test_closed_form_invariants_on_generated_rule_bases(rb):
         if token in ("gc-closed", "gc-closed-exact"):
             for x in filter(lambda x: all(map(math.isfinite, x)), xs):
                 assert all(f.lower <= f.upper for f in engine.fire(x)), (token, x)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rb=rule_bases())
+def test_dump_load_round_trip_keeps_every_closed_form_bit_for_bit(tmp_path_factory, rb):
+    path = tmp_path_factory.mktemp("rules") / "rules.json"
+    dump_rulebase(rb, path)
+    loaded = load_rulebase(path)
+    assert loaded == rb
+    xs = points(rb.n_inputs)
+    for token in supported_tokens(rb):
+        before, after = build_engine(rb, token), build_engine(loaded, token)
+        for x in xs:
+            a, b = before.infer(x), after.infer(x)
+            assert (a.value.hex(), a.degenerate) == (b.value.hex(), b.degenerate), (token, x)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(rb=rule_bases(inputs=st.just(2)), grid=st.integers(2, 6),
+       axis_range=st.sampled_from(((-1.0, 1.0), (-0.3, 0.9), (-2.5, 1.6))))
+def test_surface_csv_matches_the_per_point_oracle_on_generated_rule_bases(rb, grid, axis_range):
+    tokens = tuple(supported_tokens(rb))
+    engines = [build_engine(rb, t) for t in tokens]
+    assert generate_surface(rb, SurfaceSpec(grid, axis_range, tokens)) == \
+        oracles.surface_lines(engines, tokens, grid, axis_range)

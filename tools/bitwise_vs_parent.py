@@ -13,7 +13,9 @@ first on the path, and prints one sha1 per key:
   split surface rule base for seeds 1, 2, 3 and 7919 at grids 17 and 41
   with all six closed-form tokens, the demo with its four closed-form
   tokens and ``gc-ref``, the collapsed base with both exact tokens, and
-  the partly collapsed base below with all six;
+  the partly collapsed base below with all six; and the demo at grid 2 and
+  over the asymmetric range (-0.3, 0.9), two reference columns among
+  three closed ones;
 * ``trace/...``: pendulum trace CSV bytes for the six closed-form tokens
   (split tokens on the split demo) from starts that include ``-0.0``;
 * ``fire/...``, ``infer/...``, ``infer_batch/...``: ``float.hex`` of every
@@ -191,6 +193,11 @@ def dump() -> dict[str, str]:
             spec = cli.SurfaceSpec(grid, engines=CLOSED_TOKENS)
             out[f"surface/partly-collapsed/{grid}"] = _sha1(
                 "\n".join(cli.generate_surface(bases["partly-collapsed"], spec)))
+        for grid, axis_range in ((2, (-1.0, 1.0)), (17, (-0.3, 0.9))):
+            spec = cli.SurfaceSpec(grid, axis_range, ("gc-closed", "gc-ref", "nt-closed-exact",
+                                                      "nt-ref-exact", "gc-closed-exact"))
+            out[f"surface/demo-mixed/{grid}/{axis_range!r}"] = _sha1(
+                "\n".join(cli.generate_surface(demo, spec)))
 
         csv = tmp / "trace.csv"
         for token in CLOSED_TOKENS:
