@@ -1,6 +1,7 @@
 """Closed-form inference: firing intervals, the three output forms, fallbacks."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from it2fuzz import (
     ScaledGaussian,
     default_rulebase,
 )
+from it2fuzz import engine as engine_mod
 from it2fuzz.cli import build_engine, lcg_probes
 from it2fuzz.engine import _row_fsum, infer_batches
 
@@ -436,6 +438,82 @@ def test_row_fsum_matches_fsum_on_random_matrices():
 def test_row_fsum_matches_fsum_on_ties_cancellation_and_specials(row):
     assert_rows_match_fsum([row])
     assert_rows_match_fsum([row, [0.25] * len(row), row[::-1]])
+
+
+def fallback_rows(m) -> int:
+    """How many rows of m ``_row_fsum`` hands to ``math.fsum``."""
+    rows = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine_mod, "math", SimpleNamespace(
+            fsum=lambda row: rows.append(row) or math.fsum(row)))
+        _row_fsum(np.asarray(m, dtype=float))
+    return len(rows)
+
+
+def split_tau(m):
+    """The exact sum of the coarse parts ``q`` of ``_row_fsum``'s split, per row."""
+    sigma = np.ldexp(1.0, np.frexp(np.abs(m).max(axis=1))[1] + (m.shape[1] + 1).bit_length())
+    return ((m + sigma[:, None]) - sigma[:, None]).sum(axis=1)
+
+
+@pytest.mark.parametrize("k", [-1074, -1060, -1022, -1000, -30, 0, 1, 52, 900])
+def test_row_fsum_where_the_largest_magnitude_is_a_power_of_two(k):
+    rng = np.random.default_rng(k + 1074)
+    for r in (2, 9, 49):
+        m = rng.uniform(-1.0, 1.0, (20, r)) * 2.0 ** k
+        m[:, 0] = rng.choice([-1.0, 1.0], 20) * 2.0 ** k
+        assert_rows_match_fsum(m)
+        # Same sign, all near the power of two: tau grows to about r * 2**k.
+        assert_rows_match_fsum((1.0 - rng.random((20, r)) * 2.0 ** -20) * 2.0 ** k)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 7, 49, 98])
+def test_row_fsum_just_under_and_at_the_overflow_guard(r):
+    top = 2.0 ** 1000 / r
+    under = np.nextafter(top, 0.0)
+    below = [[under] * r, [-under] + [1.0] * (r - 1), [under, -under / 3, 0.7][:r] + [3.0] * (r - 3)]
+    at = [[top] * r, [-top] + [1.0] * (r - 1)]
+    assert_rows_match_fsum(below + at)
+    assert fallback_rows(at) == len(at)
+    assert fallback_rows(below) < len(below)
+
+
+@pytest.mark.parametrize("r", [2 ** k + d for k in range(2, 8) for d in (-2, -1, 0, 1)])
+def test_row_fsum_on_both_sides_of_the_split_width_edge(r):
+    """Same-sign rows just under 1.0 take ``tau`` to ``r * 2**-M`` of ``sigma``,
+    closest to it at ``r = 2**M - 2``, the widest ``2**M >= r + 2`` allows."""
+    rng = np.random.default_rng(r)
+    m = (1.0 - rng.random((40, r)) * 2.0 ** -20) * rng.choice([-1.0, 1.0], (40, 1))
+    assert_rows_match_fsum(m)
+    assert fallback_rows(m) < len(m) // 2
+    assert_rows_match_fsum(rng.uniform(-1.0, 1.0, (40, r)) * 2.0 ** 30)
+
+
+def test_row_fsum_on_subnormal_and_near_underflow_rows():
+    """Where ``2**-53 * sigma`` is below the normal range the split is still
+    exact: the rows near 2**-1000 are certified, not handed to fsum."""
+    rng = np.random.default_rng(1074)
+    assert_rows_match_fsum(rng.integers(-2 ** 40, 2 ** 40, (40, 9)) * 2.0 ** -1074)
+    assert_rows_match_fsum([[5e-324] * 9, [2.0 ** -1022, -5e-324] + [0.0] * 7])
+    for k in (-1060, -1030, -1000, -975):
+        m = (rng.uniform(-1.0, 1.0, (40, 9)) * 2.0 ** k
+             + rng.integers(-2 ** 20, 2 ** 20, (40, 9)) * 2.0 ** -1074)
+        assert_rows_match_fsum(m)
+        if k == -1000:
+            assert fallback_rows(m) < len(m) // 2
+
+
+def test_row_fsum_where_the_coarse_parts_cancel():
+    """Rows whose coarse parts sum to ``tau == 0`` while the rest does not."""
+    rng = np.random.default_rng(3)
+    a = rng.integers(2 ** 48, 2 ** 49, (200, 2)) * 2.0 ** -49
+    low = rng.integers(-2, 3, (200, 4)) * 2.0 ** -53
+    for m in (np.column_stack((a[:, 0] + low[:, 0], -a[:, 0] + low[:, 1])),
+              np.column_stack((a[:, 0] + low[:, 0], -a[:, 0] + low[:, 1],
+                               -a[:, 1] + low[:, 2], a[:, 1] + low[:, 3]))):
+        m = m[(split_tau(m) == 0.0) & (m.sum(axis=1) != 0.0)]
+        assert len(m) >= 20
+        assert_rows_match_fsum(m)
 
 
 def test_row_fsum_single_column_and_empty_shapes():

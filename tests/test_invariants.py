@@ -7,6 +7,8 @@ from ``fit()`` or set by hand, crisp or split consequents up to the
 validation limit, and rules in shuffled order.  On the same bases a
 dump/load round trip keeps every closed form bit for bit, and on the
 two-input ones the surface CSV equals a per-point formatting byte for byte.
+A second strategy mirrors such bases about the origin, and on those every
+closed form is exactly odd.
 """
 
 import itertools
@@ -61,6 +63,38 @@ def rule_bases(draw, inputs=st.integers(1, 3)):
     rules = tuple(Rule(a, draw(values), *((draw(values), draw(values)) if split else ()))
                   for a in combos)
     return RuleBase(tuple(partitions), rules)
+
+
+def mirrored(s):
+    """Set ``s`` mirrored about 0, with its fitted bounds."""
+    return IT2Gaussian(s.kind, -s.mean_hi, -s.mean_lo, s.sigma_lo, s.sigma_hi).with_fitted(
+        *(ScaledGaussian(-g.mean, g.sigma, g.scale) for g in (s.fitted_umf, s.fitted_lmf)))
+
+
+@st.composite
+def mirrored_rule_bases(draw):
+    """A valid rule base that is odd about the origin: each input's sets are
+    mirrored about 0 (a middle set is its own mirror), and each rule's
+    consequents, split ones included, negate those of its mirror rule; the
+    middle rule's are 0."""
+    partitions = []
+    for _ in range(draw(st.integers(1, 3))):
+        ticks = sorted(draw(st.lists(st.integers(1, 20), max_size=2, unique=True)))
+        pos = [draw(it2_sets(k / 20)) for k in ticks]
+        middle = [draw(it2_sets(0.0))] if not pos or draw(st.booleans()) else []
+        partitions.append(Partition((-1.5, 1.5), tuple(
+            [mirrored(s) for s in pos[::-1]] + middle + pos)))
+    sizes = [len(p.sets) for p in partitions]
+    scale = draw(st.sampled_from((1.0, 40.0, 1e300)))
+    width = 3 if draw(st.booleans()) else 1
+    cons = {}
+    for a in itertools.product(*map(range, sizes)):
+        mirror = tuple(n - 1 - i for n, i in zip(sizes, a))
+        cons[a] = ((0.0,) * width if a == mirror
+                   else tuple(-v for v in cons[mirror]) if mirror in cons
+                   else tuple(scale * draw(st.floats(-1.0, 1.0)) for _ in range(width)))
+    order = draw(st.permutations(list(cons)))
+    return RuleBase(tuple(partitions), tuple(Rule(a, *cons[a]) for a in order))
 
 
 def points(n):
@@ -121,3 +155,25 @@ def test_surface_csv_matches_the_per_point_oracle_on_generated_rule_bases(rb, gr
     engines = [build_engine(rb, t) for t in tokens]
     assert generate_surface(rb, SurfaceSpec(grid, axis_range, tokens)) == \
         oracles.surface_lines(engines, tokens, grid, axis_range)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(rb=mirrored_rule_bases())
+def test_a_mirrored_base_gives_exact_odd_symmetry(rb):
+    """``infer(-x) == -infer(x)`` through ``infer`` and ``infer_batches``, as
+    perfbench's surface check expects.  Float ``==`` is bit for bit here but
+    for the sign of a zero: a value of zero, or a flagged 0.0, is +0.0 at both
+    points."""
+    assert rb.validate() == []
+    xs = points(rb.n_inputs)
+    neg = [tuple(-v for v in x) for x in xs]
+    tokens = supported_tokens(rb)
+    engines = [build_engine(rb, t) for t in tokens]
+    for token, engine, (values, degenerate) in zip(
+            tokens, engines, infer_batches(engines, np.array(xs + neg))):
+        values, degenerate = values.tolist(), degenerate.tolist()
+        for k, (x, y) in enumerate(zip(xs, neg)):
+            a, b = engine.infer(x), engine.infer(y)
+            assert (b.value, b.degenerate) == (-a.value, a.degenerate), (token, x)
+            j = k + len(xs)
+            assert (values[j], degenerate[j]) == (-values[k], degenerate[k]), (token, x)

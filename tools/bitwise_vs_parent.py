@@ -53,7 +53,15 @@ first on the path, and prints one sha1 per key:
 * ``fit/...``: the ``float.hex`` of ``fit_bounds``' six parameters for
   uncertain-mean spreads 0 to 0.2 at sigma 0.418 (``FIT_SPREADS``) and
   the first 60 inputs of perfbench's ``design`` workload at seed 1
-  (spread 0.05 to 0.2, sigma 0.3 to 0.5).
+  (spread 0.05 to 0.2, sigma 0.3 to 0.5);
+* ``rowsum/...``: the ``float.hex`` of every row sum ``_row_fsum`` returns,
+  or the name of the error it raises, over fixed matrices: each of the
+  tie and special rows of its tests (``ROWSUM_SPECIAL_ROWS``) with a row
+  of 0.25s and its own reverse, 40 seeded random matrices and the same
+  followed by their near negation, edge rows of the error-free split
+  (``rowsum_edge_matrices``), and the weight and term matrices of the
+  first five perfbench ``surface`` ops at seed 1, so that a change to the
+  summation shows even where no CSV byte moves.
 
 It prints the keys that differ, or that only one side has, and exits 1
 if there are any, 0 otherwise.
@@ -87,6 +95,15 @@ REF_PAIRS = (("gc-ref", "nt-ref"), ("gc-ref-exact", "nt-ref-exact"))
 REF_DESIGN_OPS = 20
 FIT_SPREADS = tuple(k / 100 for k in range(21))
 SIGMA_FOUS = ((0.0, 0.2, 0.35), (-0.4, 0.3, 0.3), (0.7, 0.05, 0.6))
+ROWSUM_SPECIAL_ROWS = (
+    (1.0, 2.0 ** -53, 2.0 ** -105), (1.0, 2.0 ** -53, -(2.0 ** -105)), (1.0, 2.0 ** -53),
+    (1.0, -(2.0 ** -54), 2.0 ** -107), (1.0, -(2.0 ** -54), -(2.0 ** -107)),
+    (2.0 ** -53, 1.0, 2.0 ** -105, 2.0 ** -200, -(2.0 ** -200)), (1e16, 1.0, -1e16, 2.0 ** -60),
+    (0.1, 0.2, -0.3), (0.5, -0.25, -0.25), (1e300, 1e-300, -1e300), (-0.0, -0.0, -0.0),
+    (0.0, -0.0), (5e-324, -5e-324, 5e-324), (2.0 ** -1022, -(2.0 ** -1074)),
+    (math.nan, 1.0, 2.0), (math.inf, 1.0), (-math.inf, -math.inf), (1e308, 1e308, -1e308, 0.0),
+    (math.inf, -math.inf))
+ROWSUM_SURFACE_OPS = 5
 
 
 def _sha1(data: str | bytes) -> str:
@@ -158,11 +175,43 @@ def design_base(layout, dmu, sigma):
     return RuleBase(parts, layout.rules)
 
 
+def rowsum_edge_matrices():
+    """Named matrices at the edges of ``_row_fsum``'s split: the largest
+    magnitude an exact power of two, just under and at ``2**1000 / r``, widths
+    on both sides of ``2**M >= r + 2``, subnormal and near-underflow rows,
+    and rows whose large parts cancel exactly."""
+    import numpy as np
+
+    rng = np.random.default_rng(24)
+    out = {}
+    for r in (2, 3, 6, 7, 8, 9, 14, 15, 16, 17, 62, 63, 64, 65):
+        # Same-sign entries just under 1.0 with random low bits: their
+        # coarse parts add up to nearly r * 2**-M of sigma.
+        out[f"width-{r}"] = ((1.0 - rng.random((20, r)) * 2.0 ** -20)
+                             * rng.choice([-1.0, 1.0], (20, 1)))
+        out[f"width-{r}-mixed"] = rng.uniform(-1.0, 1.0, (20, r)) * 2.0 ** 30
+        top = 2.0 ** 1000 / r
+        out[f"limit-{r}"] = np.array([[np.nextafter(top, 0.0)] * r, [top] + [1.0] * (r - 1),
+                                      [np.nextafter(top, 0.0), -top / 3] + [0.5] * (r - 2)])
+    for k in (-1074, -1060, -1022, -1000, -30, 0, 1, 52, 900):
+        m = rng.uniform(-1.0, 1.0, (20, 9)) * 2.0 ** k
+        m[:, 0] = 2.0 ** k
+        out[f"power-of-two-{k}"] = m
+    out["subnormal"] = rng.integers(-2 ** 40, 2 ** 40, (20, 9)) * 2.0 ** -1074
+    out["near-underflow"] = (rng.uniform(-1.0, 1.0, (20, 9)) * 2.0 ** -1000
+                             + rng.integers(-2 ** 20, 2 ** 20, (20, 9)) * 2.0 ** -1074)
+    a = rng.integers(2 ** 48, 2 ** 49, 20) * 2.0 ** -49
+    low = rng.integers(-2, 3, (20, 2)) * 2.0 ** -53
+    out["cancelling"] = np.column_stack((a + low[:, 0], -a + low[:, 1]))
+    return out
+
+
 def dump() -> dict[str, str]:
     """Keyed sha1s of this process's ``it2fuzz`` outputs (see the module doc)."""
     import numpy as np
     from helpers import collapsed_rulebase, split_rulebase
     from it2fuzz import cli, pendulum
+    from it2fuzz import engine as engine_mod
     from it2fuzz.engine import infer_batches
     from it2fuzz.mf import IT2Gaussian, default_fit_window, fit_bounds
     from it2fuzz.rulebase import default_rulebase
@@ -198,6 +247,18 @@ def dump() -> dict[str, str]:
                                                       "nt-ref-exact", "gc-closed-exact"))
             out[f"surface/demo-mixed/{grid}/{axis_range!r}"] = _sha1(
                 "\n".join(cli.generate_surface(demo, spec)))
+
+        work = SurfaceWorkload(1, tmp)
+        row_fsum, sums = engine_mod._row_fsum, []
+        engine_mod._row_fsum = lambda m: sums.append(row_fsum(m)) or sums[-1]
+        try:
+            for k in range(ROWSUM_SURFACE_OPS):
+                del sums[:]
+                work.run(work.make_input(k))
+                out[f"rowsum/surface-1/{k}"] = _sha1(";".join(
+                    ",".join(v.hex() for v in s.tolist()) for s in sums))
+        finally:
+            engine_mod._row_fsum = row_fsum
 
         csv = tmp / "trace.csv"
         for token in CLOSED_TOKENS:
@@ -270,6 +331,26 @@ def dump() -> dict[str, str]:
         umf, lmf = fit_bounds(m)
         out[f"fit/{name}"] = _sha1(",".join(
             v.hex() for g in (umf, lmf) for v in (g.mean, g.sigma, g.scale)))
+
+    def row_sums(m) -> str:
+        try:
+            return ",".join(v.hex() for v in engine_mod._row_fsum(np.asarray(m, float)).tolist())
+        except (OverflowError, ValueError) as exc:
+            return type(exc).__name__
+
+    for k, row in enumerate(ROWSUM_SPECIAL_ROWS):
+        out[f"rowsum/special/{k}"] = _sha1(row_sums([row, [0.25] * len(row), row[::-1]]))
+    rng = np.random.default_rng(8)
+    random, cancelling = [], []
+    for _ in range(40):
+        n, r = rng.integers(1, 80), rng.integers(1, 130)
+        m = (10.0 ** rng.uniform(-20, 1, (n, r))) * rng.choice([-1.0, 1.0], (n, r))
+        random.append(row_sums(m))
+        cancelling.append(row_sums(np.hstack((m, -m * (1 + 2.0 ** -40)))))
+    out["rowsum/random"] = _sha1(";".join(random))
+    out["rowsum/cancelling"] = _sha1(";".join(cancelling))
+    for name, m in rowsum_edge_matrices().items():
+        out[f"rowsum/edge/{name}"] = _sha1(row_sums(m))
     return out
 
 
