@@ -18,10 +18,10 @@ bit; without the loop's appends, index loops and generators an inference
 costs about half.
 
 * The build is lazy and per function; the batch path (every surface
-  export) builds ``infer`` only once a row of it is flagged.
+  export) builds ``infer`` only once a row of it needs the kernel.
 * The source text holds only integer indices and fixed names; every bound
-  parameter and consequent is a number global that the engine binds by
-  name, so no rule-file value can become code.
+  parameter and consequent is a number global, bound by the names the
+  generator lists, so no rule-file value can become code.
 * Hence the code depends only on the structure (sets per input,
   antecedents, form, and per table row whether its bounds have ``lo <
   hi``) and sits in a bounded ``functools.lru_cache``; each engine runs it
@@ -35,7 +35,9 @@ costs about half.
 * ``nt-closed``: sum-weighted average, weights upper + lower firing.
 
 All sums run through ``math.fsum`` so results are exactly rounded; a
-sign-symmetric rule base therefore yields bit-exact odd symmetry.
+sign-symmetric rule base therefore yields bit-exact odd symmetry.  A gc
+or nt value is clamped into the consequent hull; the split form has no
+hull yet.
 
 ``infer_batches(engines, X)`` runs many input vectors through several
 engines at once, one firing pass per rule base and bound source (the
@@ -45,10 +47,10 @@ once per distinct input value, products and terms are numpy arithmetic
 in the same order, and each row sum is one error-free split of the row
 (Rump, Ogita & Oishi 2008; ``2**M >= r + 2`` for ``r`` entries) certified
 equal to ``math.fsum``'s (Ogita, Rump & Oishi 2005), with ``math.fsum``
-itself on any row the certificate does not cover.  Every flagged row comes
-from the engine's compiled ``infer``, so the kernel alone defines a
-flagged result.  ``infer`` stays the path for serial callers such as the
-pendulum loop, where a one-row batch would cost more than the inference.
+itself on any row the certificate does not cover.  Every row flagged or
+not inside the hull comes from the engine's compiled ``infer``: the
+kernel alone flags and clamps.  ``infer`` stays the path for serial
+callers such as the pendulum loop, where a one-row batch costs more.
 
 Degenerate cases are flagged, never raised: a collapsed FOU band falls
 back to the upper-firing average, and an input that fires nothing gives
@@ -118,6 +120,12 @@ class InferenceResult(NamedTuple):
     degenerate: bool
 
 
+# The kernel's globals that are the same for every engine.
+_FIXED_GLOBALS = {"exp": math.exp, "fsum": math.fsum, "new": tuple.__new__,
+                  "IR": InferenceResult, "FI": FiringInterval, "EPS": DEGENERATE_EPSILON,
+                  "NOFIRE": InferenceResult(0.0, True)}
+
+
 class ClosedFormEngine:
     """A rule base bound to an engine config, exposing infer(x) and fire(x).
 
@@ -144,7 +152,9 @@ class ClosedFormEngine:
         self._fitted = fitted
         self._ante = tuple(r.antecedent for r in rb.rules)
         self._cons = tuple(r.consequent for r in rb.rules)
-        self._hull = (min(self._cons), max(self._cons))
+        # The kernel's clamp; the split form has no hull yet (ROADMAP, Fix first 1).
+        self._hull = ((-math.inf, math.inf) if cfg.form is Form.GC_CLOSED_SPLIT
+                      else (min(self._cons), max(self._cons)))
         if rb.is_split:
             self._cons_u = tuple(r.consequent_upper for r in rb.rules)
             self._cons_l = tuple(r.consequent_lower for r in rb.rules)
@@ -152,20 +162,14 @@ class ClosedFormEngine:
     def _compiled(self, form: Form | None):
         """This engine's ``infer`` of ``form``, or its ``fire`` if ``form`` is
         None: the structure's cached code run in globals of this engine's numbers."""
-        ns = {"exp": math.exp, "fsum": math.fsum, "new": tuple.__new__,
-              "IR": InferenceResult, "FI": FiringInterval, "EPS": DEGENERATE_EPSILON,
-              "NOFIRE": InferenceResult(0.0, True), "CLO": self._hull[0],
-              "CHI": self._hull[1]}
         bounds = [s.bounds(self._fitted) for p in self.rb.partitions for s in p.sets]
-        for k, pair in enumerate(bounds):
-            for b, params in zip("ul", pair):
-                ns.update(zip((f"{b}m{k}", f"{b}h{k}", f"{b}sg{k}", f"{b}sc{k}"), params))
-        ns.update((f"c{r}", c) for r, c in enumerate(self._cons))
-        if form is Form.GC_CLOSED_SPLIT:
-            ns.update((f"cu{r}", c) for r, c in enumerate(self._cons_u))
-            ns.update((f"cl{r}", c) for r, c in enumerate(self._cons_l))
         wide = tuple(u[0] < u[1] or l[0] < l[1] for u, l in bounds)
-        exec(_kernel_code(self.rb.shape, self._ante, wide, form), ns)
+        code, names = _kernel_code(self.rb.shape, self._ante, wide, form)
+        cons = (() if form is None else self._cons_u + self._cons_l
+                if form is Form.GC_CLOSED_SPLIT else self._cons)
+        values = itertools.chain(self._hull, *itertools.chain(*bounds), cons)
+        ns = {**_FIXED_GLOBALS, **dict(zip(names, values, strict=True))}
+        exec(code, ns)
         return ns["fire" if form is None else "infer"]
 
     @functools.cached_property
@@ -218,18 +222,18 @@ def infer_batches(engines: Sequence[ClosedFormEngine],
 
     Firing depends only on the rule base and the bound source, so engines
     that hold the same rule base object and bound source share one
-    ``_firing_batch(X)``, and within such a group the gc forms share one
-    denominator (their weights are both ``upper - lower``).  Each engine
-    then reduces the shared arrays with its own form.
+    ``_firing_batch(X)``, their gc forms one denominator (of ``upper -
+    lower``) and their nt forms another.  Each engine then reduces the
+    shared arrays with its own form.
 
-    Only regular rows, whose denominator is above ``DEGENERATE_EPSILON``,
-    are computed here: each distinct value of each input column is put
-    through the same bound formula the per-call path uses, the per-rule
-    products and the form's terms are elementwise numpy arithmetic in the
-    per-call order, and every row sum equals ``math.fsum``'s
-    (``_row_fsum``), so no result depends on how rows are batched or
-    engines grouped.  Every other row (a collapsed band, no firing or a
-    non-finite input) is that engine's compiled ``infer`` of the row.
+    Only regular rows, whose denominator is above ``DEGENERATE_EPSILON``
+    and whose value lies inside the engine's hull, are kept from here: each
+    distinct value of each input column is put through the same bound
+    formula the per-call path uses, the per-rule products and the form's
+    terms are elementwise numpy arithmetic in the per-call order, and every
+    row sum equals ``math.fsum``'s (``_row_fsum``), so no result depends on
+    how rows are batched or engines grouped.  Every other row is that
+    engine's compiled ``infer`` of the row: the kernel alone flags and clamps.
 
     The gain comes from rows sharing column values, as on a Cartesian
     grid, where each bound runs once per axis value instead of once per
@@ -243,42 +247,34 @@ def infer_batches(engines: Sequence[ClosedFormEngine],
     X = np.asarray(X, dtype=float)
     for e in engines:
         if X.ndim != 2 or X.shape[1] != e._n_inputs:
-            raise ValueError(
-                f"expected an (N, {e._n_inputs}) array, got shape {X.shape}")
-    groups: dict[tuple[int, bool], list[int]] = {}
-    for k, e in enumerate(engines):
-        groups.setdefault((id(e.rb), e._fitted), []).append(k)
-    results: list = [None] * len(engines)
-    for members in groups.values():
-        ups, los = engines[members[0]]._firing_batch(X)
-        shared = {}  # nt or not -> (weights, row sums)
-        for k in members:
-            e = engines[k]
-            nt = e.cfg.form is Form.NT_CLOSED
-            if nt not in shared:
-                weights = ups + los if nt else ups - los
-                shared[nt] = weights, _row_fsum(weights)
-            weights, den = shared[nt]
-            ok = den > DEGENERATE_EPSILON
-            split = e.cfg.form is Form.GC_CLOSED_SPLIT
-            if split:
-                terms = np.hstack((np.array(e._cons_u) * ups[ok],
-                                   -np.array(e._cons_l) * los[ok]))
-            else:
-                terms = np.array(e._cons) * weights[ok]
-            with np.errstate(over="ignore"):  # a split value can reach inf, as in the kernel
-                v = _row_fsum(terms) / den[ok]
-            if not split:
-                # The kernel's clamp into the consequent hull.
-                lo, hi = e._hull
-                v[v < lo] = lo
-                v[v > hi] = hi
-            values = np.zeros(len(X))
-            values[ok] = v
-            degenerate = ~ok
-            for i in np.flatnonzero(degenerate).tolist():
-                values[i], degenerate[i] = e._infer(X[i].tolist())
-            results[k] = values, degenerate
+            raise ValueError(f"expected an (N, {e._n_inputs}) array, got shape {X.shape}")
+    firing, shared, results = {}, {}, []
+    for e in engines:
+        key = id(e.rb), e._fitted
+        if key not in firing:
+            firing[key] = e._firing_batch(X)
+        ups, los = firing[key]
+        nt = e.cfg.form is Form.NT_CLOSED
+        if (key, nt) not in shared:
+            weights = ups + los if nt else ups - los
+            shared[key, nt] = weights, _row_fsum(weights)
+        weights, den = shared[key, nt]
+        ok = den > DEGENERATE_EPSILON
+        if e.cfg.form is Form.GC_CLOSED_SPLIT:
+            terms = np.hstack((np.array(e._cons_u) * ups[ok],
+                               -np.array(e._cons_l) * los[ok]))
+        else:
+            terms = np.array(e._cons) * weights[ok]
+        with np.errstate(over="ignore"):  # a split value can reach inf, as in the kernel
+            v = _row_fsum(terms) / den[ok]
+        values = np.zeros(len(X))
+        values[ok] = v
+        # A value not inside the hull (a NaN too) is left to the kernel's clamp.
+        lo, hi = e._hull
+        degenerate = ~(ok & (lo <= values) & (values <= hi))
+        for i in np.flatnonzero(degenerate).tolist():
+            values[i], degenerate[i] = e._infer(X[i].tolist())
+        results.append((values, degenerate))
     return results
 
 
@@ -293,10 +289,10 @@ def _kernel_code(shape: tuple[int, ...], ante: tuple[tuple[int, ...], ...],
     """The compiled ``infer`` of ``form``, or ``fire`` if ``form`` is None,
     for one rule-base structure: ``shape`` (sets per input), ``ante`` (each
     rule's antecedent) and ``wide`` (whether each table row's bounds have
-    ``lo < hi``).  Row k's bound parameters (``um<k>``, ``uh<k>``, ``usg<k>``,
-    ``usc<k>``, ``lm<k>``, ...) and the consequents (``c<r>``, ``cu<r>``,
-    ``cl<r>``) are number globals that each engine binds, so engines of one
-    structure share this code object.
+    ``lo < hi``), with the names of the number globals each engine binds,
+    in order: ``CLO``, ``CHI``, row k's upper then lower bounds (``um<k>``,
+    ``uh<k>``, ``usg<k>``, ``usc<k>``, ``lm<k>``, ...), and the consequents
+    the form reads (``c<r>``, or ``cu<r>`` then ``cl<r>``).
     """
     n = len(shape)
     # One table row k per (input, set), inputs in order; each rule reads
@@ -305,6 +301,8 @@ def _kernel_code(shape: tuple[int, ...], ante: tuple[tuple[int, ...], ...],
     offsets = tuple(itertools.accumulate(shape[:-1], initial=0))
     rows = [[int(o + a) for o, a in zip(offsets, ant)] for ant in ante]
     rules = range(len(rows))
+    names = ["CLO", "CHI", *(f"{b}{p}{k}" for k in range(len(table))
+                             for b in "ul" for p in ("m", "h", "sg", "sc"))]
     head = [f"if len(x) != {n}:",
             f"    raise ValueError(f'expected {n} inputs, got {{len(x)}}')",
             "".join(f"x{i}, " for i in range(n)) + "= x"]
@@ -330,19 +328,16 @@ def _kernel_code(shape: tuple[int, ...], ante: tuple[tuple[int, ...], ...],
         """A tuple display of each format filled in for every rule r."""
         return "(" + "".join(f.format(r=r) + ", " for f in fmts for r in rules) + ")"
 
-    # A NaN input makes every sum NaN, and NaN fails every comparison:
-    # each test is written so that it lands in the flagged branch.
-    # fl(c * w) / w can round one ulp past c when one rule carries all the
-    # weight, so a gc or nt value is clamped into the hull [CLO, CHI] of
-    # the consequents; a value inside it, or a NaN, passes unchanged.
-    clamp = "return new(IR, (CLO if v < CLO else CHI if v > CHI else v, False))"
     if form is None:
         body = [f"return [{', '.join(f'new(FI, (l{r}, u{r}))' for r in rules)}]"]
     else:
         # Every form is a weighted average: weights u + l (nt) or u - l (gc).
         nt, split = form is Form.NT_CLOSED, form is Form.GC_CLOSED_SPLIT
         w, c = "s" if nt else "d", "cu" if split else "c"
+        names += [f"{cons}{r}" for cons in (("cu", "cl") if split else "c") for r in rules]
         body = [f"{w}{r} = u{r} {'+' if nt else '-'} l{r}" for r in rules]
+        # A NaN input makes every sum NaN, and NaN fails every comparison:
+        # each test is written so that it lands in the flagged branch.
         body += [f"den = fsum({tup(w + '{r}')})", "if not den > EPS:"]
         # nt's weights vanish only with the firing; a collapsed gc band falls
         # back to the upper-firing average.
@@ -350,11 +345,14 @@ def _kernel_code(shape: tuple[int, ...], ante: tuple[tuple[int, ...], ...],
             f"    uden = fsum({tup('u{r}')})", "    if not uden > EPS:", "        return NOFIRE",
             f"    return new(IR, (fsum({tup(c + '{r} * u{r}')}) / uden, True))"]
         terms = tup("cu{r} * u{r}", "-cl{r} * l{r}") if split else tup(c + "{r} * " + w + "{r}")
-        body += ([f"return new(IR, (fsum({terms}) / den, False))"] if split
-                 else [f"v = fsum({terms}) / den", clamp])
+        # fl(c * w) / w can round one ulp past c when one rule carries all the
+        # weight, so a value is clamped into the hull [CLO, CHI] of the
+        # consequents (the split form's is (-inf, inf)); a NaN passes unchanged.
+        body += [f"v = fsum({terms}) / den",
+                 "return new(IR, (CLO if v < CLO else CHI if v > CHI else v, False))"]
     name = "fire" if form is None else "infer"
     source = "\n".join([f"def {name}(x):"] + [f"    {line}" for line in head + body])
-    return compile(source, "<it2fuzz kernel>", "exec")
+    return compile(source, "<it2fuzz kernel>", "exec"), tuple(names)
 
 
 def _row_fsum(m: np.ndarray) -> np.ndarray:

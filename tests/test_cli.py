@@ -288,11 +288,14 @@ def _dominated_lmf(d):
     lambda d: {**d, "inputs": [{**d["inputs"][0], "universe": [-1, True]}] + d["inputs"][1:]},
     lambda d: _middle_set(d, sigma=math.inf),
     lambda d: _middle_set(d, mean_lo=-math.inf, mean_hi=math.inf),
+    lambda d: {**d, "inputs": [{**d["inputs"][0], "sets": []}] + d["inputs"][1:]},
+    lambda d: {**d, "inputs": []},
 )] + [(_dominated_lmf, "fitted_dominance"), (_scaled(1.7e308), "consequent_range")],
     ids=["top_level_list", "scalar_antecedent", "scalar_inputs", "nan_fitted_mean",
          "reversed_universe", "unknown_kind", "float_antecedent", "bool_consequent",
          "string_names", "string_sigma", "bool_fitted_scale", "bool_universe_end",
-         "infinite_sigma", "infinite_means", "fitted_dominance", "huge_consequents"])
+         "infinite_sigma", "infinite_means", "no_sets", "no_inputs", "fitted_dominance",
+         "huge_consequents"])
 def test_surface_rejects_malformed_rule_file(mangle, code, tmp_path, capsys):
     d = rulebase_to_dict(default_rulebase())
     rules = tmp_path / "malformed.json"

@@ -21,7 +21,7 @@ from it2fuzz import (
     fit_bounds,
 )
 from it2fuzz.cli import lcg_probes
-from it2fuzz.mf import _golden_min, lower_within_upper
+from it2fuzz.mf import UNCERTAIN_MEAN, UNCERTAIN_SIGMA, _golden_min, lower_within_upper
 
 import oracles
 from oracles import (
@@ -87,6 +87,10 @@ def test_fou_constructor_validation():
         IT2Gaussian.uncertain_sigma(0.0, 0.5, 0.3)
     with pytest.raises(ValueError):
         IT2Gaussian("triangular", 0.0, 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="single sigma"):
+        IT2Gaussian(UNCERTAIN_MEAN, -0.1, 0.1, 0.3, 0.4)
+    with pytest.raises(ValueError, match="single mean"):
+        IT2Gaussian(UNCERTAIN_SIGMA, -0.1, 0.1, 0.3, 0.4)
     for bad in (lambda: IT2Gaussian.uncertain_mean(-math.inf, 0.1, 0.4),
                 lambda: IT2Gaussian.uncertain_mean(-0.1, math.inf, 0.4),
                 lambda: IT2Gaussian.uncertain_mean(-0.1, 0.1, math.inf),

@@ -13,6 +13,8 @@ the same file system.  Pair k (k = 1..10) runs
 parent first in odd pairs and the change first in even ones; one more
 pair runs the holdout seed that perfbench reports in its environment
 record.  Every run lasts BENCHMARK.json's ``run_seconds`` per workload.
+On SIGTERM or Ctrl-C the running ``perfbench/run.py`` and its child are
+killed and both trees removed.
 
 With ``--trace 0`` (the default) the JSON written holds, for each
 workload and each end-to-end metric in BENCHMARK.json, each side's median
@@ -28,9 +30,12 @@ a per-layer claim has a spread too.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
+import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -45,11 +50,22 @@ PAIRS = 10
 
 def run_side(tree: Path, seed: int, seconds: float, trace: int) -> dict:
     """One ``--workload all`` run in a source tree: metrics, op counts, env."""
-    proc = subprocess.run(
+    # A session of its own, so that one killpg stops run.py and its child.
+    proc = subprocess.Popen(
         [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=tree, capture_output=True, text=True, check=True)
-    lines = proc.stdout.splitlines()
+        cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate()
+    except BaseException:
+        with contextlib.suppress(ProcessLookupError):  # the group has gone already
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        raise
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args, stdout, stderr)
+    lines = stdout.splitlines()
     last = json.loads(lines[-1])
     env = next(json.loads(line)["env"] for line in lines if line.startswith('{"env"'))
     return {"seed": seed, "correct": last["correct"], "attempted": last["attempted"],
@@ -72,6 +88,9 @@ def main(argv: list[str] | None = None) -> int:
                         "metrics (default 0: untraced runs, end-to-end metrics)")
     args = p.parse_args(argv)
     seconds = bench["run_seconds"]
+    # SIGTERM unwinds as Ctrl-C does: run_side kills its run, and the
+    # temporary directory is removed on the way out.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     def git(*cmd: str) -> str:
         return subprocess.run(["git", *cmd], cwd=ROOT, check=True,
