@@ -40,16 +40,16 @@ or nt value is clamped into the consequent hull; the split form has no
 hull yet.
 
 ``infer_batches(engines, X)`` runs many input vectors through several
-engines at once, one firing pass per rule base and bound source (the
-surface export uses it), and equals each engine's ``infer`` bit for bit
-on every row.  It computes the regular rows in numpy: bounds are evaluated
-once per distinct input value, products and terms are numpy arithmetic
-in the same order, and each row sum is one error-free split of the row
-(Rump, Ogita & Oishi 2008; ``2**M >= r + 2`` for ``r`` entries) certified
-equal to ``math.fsum``'s (Ogita, Rump & Oishi 2005), with ``math.fsum``
-itself on any row the certificate does not cover.  Every row flagged or
-not inside the hull comes from the engine's compiled ``infer``: the
-kernel alone flags and clamps.  ``infer`` stays the path for serial
+engines at once, one group of engines sharing a rule base and bound source
+at a time (the surface export uses it), and equals each engine's ``infer``
+bit for bit on every row.  It computes the regular rows in numpy: bounds
+are evaluated once per distinct input value, products and terms are numpy
+arithmetic in the same order, and each row sum is one error-free split of
+the row (Rump, Ogita & Oishi 2008; ``2**M >= r + 2`` for ``r`` entries)
+certified equal to ``math.fsum``'s (Ogita, Rump & Oishi 2005), with
+``math.fsum`` itself on any row the certificate does not cover.  Every row
+flagged or not inside the hull comes from the engine's compiled ``infer``:
+the kernel alone flags and clamps.  ``infer`` stays the path for serial
 callers such as the pendulum loop, where a one-row batch costs more.
 
 Degenerate cases are flagged, never raised: a collapsed FOU band falls
@@ -221,10 +221,11 @@ def infer_batches(engines: Sequence[ClosedFormEngine],
     value and flag on every row, bit for bit.
 
     Firing depends only on the rule base and the bound source, so engines
-    that hold the same rule base object and bound source share one
-    ``_firing_batch(X)``, their gc forms one denominator (of ``upper -
-    lower``) and their nt forms another.  Each engine then reduces the
-    shared arrays with its own form.
+    that hold the same rule base object and bound source form a group, and
+    the groups run one at a time, in the order of their first engines.  A
+    group fires once (``_firing_batch(X)``), its gc forms share one
+    denominator (of ``upper - lower``) and its nt forms another, and its
+    arrays are dropped before the next group fires.
 
     Only regular rows, whose denominator is above ``DEGENERATE_EPSILON``
     and whose value lies inside the engine's hull, are kept from here: each
@@ -237,44 +238,43 @@ def infer_batches(engines: Sequence[ClosedFormEngine],
 
     The gain comes from rows sharing column values, as on a Cartesian
     grid, where each bound runs once per axis value instead of once per
-    row, and from engines sharing a rule base and bound source.  Rows with
-    all-distinct values gain only the vectorised products and terms, and
-    pay for the sort that finds the distinct values; flagged rows run at
-    per-call speed.
+    row, and from engines sharing a group.  Rows with all-distinct values
+    gain only the vectorised products and terms and pay for the sort that
+    finds the distinct values; flagged rows run at per-call speed.
     """
-    if not engines:
-        return []
     X = np.asarray(X, dtype=float)
     for e in engines:
         if X.ndim != 2 or X.shape[1] != e._n_inputs:
             raise ValueError(f"expected an (N, {e._n_inputs}) array, got shape {X.shape}")
-    firing, shared, results = {}, {}, []
-    for e in engines:
-        key = id(e.rb), e._fitted
-        if key not in firing:
-            firing[key] = e._firing_batch(X)
-        ups, los = firing[key]
-        nt = e.cfg.form is Form.NT_CLOSED
-        if (key, nt) not in shared:
-            weights = ups + los if nt else ups - los
-            shared[key, nt] = weights, _row_fsum(weights)
-        weights, den = shared[key, nt]
-        ok = den > DEGENERATE_EPSILON
-        if e.cfg.form is Form.GC_CLOSED_SPLIT:
-            terms = np.hstack((np.array(e._cons_u) * ups[ok],
-                               -np.array(e._cons_l) * los[ok]))
-        else:
-            terms = np.array(e._cons) * weights[ok]
-        with np.errstate(over="ignore"):  # a split value can reach inf, as in the kernel
-            v = _row_fsum(terms) / den[ok]
-        values = np.zeros(len(X))
-        values[ok] = v
-        # A value not inside the hull (a NaN too) is left to the kernel's clamp.
-        lo, hi = e._hull
-        degenerate = ~(ok & (lo <= values) & (values <= hi))
-        for i in np.flatnonzero(degenerate).tolist():
-            values[i], degenerate[i] = e._infer(X[i].tolist())
-        results.append((values, degenerate))
+    groups, results = {}, [None] * len(engines)
+    for i, e in enumerate(engines):
+        groups.setdefault((id(e.rb), e._fitted), []).append((i, e))
+    for members in groups.values():
+        ups, los = members[0][1]._firing_batch(X)
+        shared = {}
+        for i, e in members:
+            nt = e.cfg.form is Form.NT_CLOSED
+            if nt not in shared:
+                weights = ups + los if nt else ups - los
+                shared[nt] = weights, _row_fsum(weights)
+            weights, den = shared[nt]
+            ok = den > DEGENERATE_EPSILON
+            if e.cfg.form is Form.GC_CLOSED_SPLIT:
+                terms = np.hstack((np.array(e._cons_u) * ups[ok],
+                                   -np.array(e._cons_l) * los[ok]))
+            else:
+                terms = np.array(e._cons) * weights[ok]
+            with np.errstate(over="ignore"):  # a split value can reach inf, as in the kernel
+                v = _row_fsum(terms) / den[ok]
+            values = np.zeros(len(X))
+            values[ok] = v
+            # A value not inside the hull (a NaN too) is left to the kernel's clamp.
+            lo, hi = e._hull
+            degenerate = ~(ok & (lo <= values) & (values <= hi))
+            for j in np.flatnonzero(degenerate).tolist():
+                values[j], degenerate[j] = e._infer(X[j].tolist())
+            results[i] = values, degenerate
+        del ups, los, shared, weights, terms  # before the next group fires
     return results
 
 

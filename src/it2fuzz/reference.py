@@ -8,8 +8,10 @@ below the center spacing) the two defuzzifiers converge to the matching
 closed forms, which is exactly what the equivalence tests exercise.  A
 twin pair is one ``EngineConfig``: ``ReferenceEngine(rb, cfg)`` checks
 ``ClosedFormEngine(rb, cfg)`` and fires through it, so both pipelines
-share one firing step and differ only in what follows it.  There is no
-twin of ``Form.GC_CLOSED_SPLIT`` yet.
+share one firing step and differ only in what follows it.  A twin
+therefore checks the reduction from firing to a crisp value, not the
+firing itself; the loop oracle in ``tests/oracles.py`` checks that.
+There is no twin of ``Form.GC_CLOSED_SPLIT`` yet.
 
 The output grid spans the consequent hull with margins of 50 consequent
 widths (``_output_grid``), so any rule base that passes validation fits.

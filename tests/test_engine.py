@@ -1,6 +1,7 @@
 """Closed-form inference: firing intervals, the three output forms, fallbacks."""
 
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -351,6 +352,32 @@ def test_infer_batches_keeps_rule_bases_apart(suffix):
     assert len(results) == len(engines)
     for engine, (values, degenerate) in zip(engines, results):
         assert degenerate.any() and not degenerate.all()
+        for x, v, d in zip(BATCH_POINTS, values.tolist(), degenerate.tolist()):
+            r = engine.infer(x)
+            assert (v.hex(), d) == (r.value.hex(), r.degenerate), (engine.cfg, x)
+
+
+def test_infer_batches_fires_one_group_at_a_time(monkeypatch):
+    # Three (rule base, bound source) groups, interleaved: each fires once,
+    # in the order of its first engine, and no earlier group's firing
+    # arrays are alive when a group fires.
+    demo, split = RB, split_rulebase(RB)
+    engines = [build_engine(rb, token) for rb, token in (
+        (demo, "gc-closed"), (demo, "nt-closed-exact"), (demo, "nt-closed"),
+        (split, "gc-closed-split"), (demo, "gc-closed-exact"))]
+    # Each firing pass: its group, and how many earlier firing arrays live.
+    fired, refs, firing_batch = [], [], ClosedFormEngine._firing_batch
+
+    def tracked(self, X):
+        fired.append(((id(self.rb), self._fitted), sum(r() is not None for r in refs)))
+        arrays = firing_batch(self, X)
+        refs.extend(map(weakref.ref, arrays))
+        return arrays
+
+    monkeypatch.setattr(ClosedFormEngine, "_firing_batch", tracked)
+    results = infer_batches(engines, np.array(BATCH_POINTS))
+    assert fired == [((id(demo), True), 0), ((id(demo), False), 0), ((id(split), True), 0)]
+    for engine, (values, degenerate) in zip(engines, results):
         for x, v, d in zip(BATCH_POINTS, values.tolist(), degenerate.tolist()):
             r = engine.infer(x)
             assert (v.hex(), d) == (r.value.hex(), r.degenerate), (engine.cfg, x)

@@ -134,6 +134,23 @@ def test_closed_form_invariants_on_generated_rule_bases(rb):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(rb=rule_bases())
+def test_kernel_equals_the_loop_oracle_on_generated_rule_bases(rb):
+    """``fire`` and ``infer`` against ``oracles.loop_fire``/``loop_infer`` by
+    ``float.hex``.  The reference twins fire through the same compiled
+    ``fire``, so on these bases this is the check of the firing itself."""
+    for token in supported_tokens(rb):
+        engine = build_engine(rb, token)
+        form, fitted = token.removesuffix("-exact"), not token.endswith("-exact")
+        for x in points(rb.n_inputs):
+            r = engine.infer(x)
+            value, degenerate = oracles.loop_infer(rb, form, fitted, x)
+            assert (r.value.hex(), r.degenerate) == (value.hex(), degenerate), (token, x)
+            assert ([(f.lower.hex(), f.upper.hex()) for f in engine.fire(x)] == [
+                (lo.hex(), up.hex()) for lo, up in oracles.loop_fire(rb, fitted, x)]), (token, x)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rb=rule_bases())
 def test_dump_load_round_trip_keeps_every_closed_form_bit_for_bit(tmp_path_factory, rb):
     path = tmp_path_factory.mktemp("rules") / "rules.json"
     dump_rulebase(rb, path)

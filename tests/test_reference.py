@@ -266,6 +266,29 @@ def test_reference_agrees_with_closed_forms_at_spots():
         assert abs(nt_ref.infer(x).value - nt.infer(x).value) <= 1e-3
 
 
+@pytest.mark.parametrize("grid_points", [10001, 401])
+@pytest.mark.parametrize("token", sorted(REF_CONFIGS))
+def test_twins_agree_to_the_trapezoid_aliasing_term(token, grid_points):
+    # Each consequent row is a Gaussian of width w, so its continuous
+    # centroid is its center and the closed form is the reference's limit.
+    # What is left is the trapezoid rule's aliasing on a grid of spacing h,
+    # 2 exp(-2 pi^2 (w/h)^2) relative (Poisson summation; Trefethen &
+    # Weideman, SIAM Review 2014), plus rounding:
+    #     tol = max|b| * 2 exp(-2 pi^2 (w/h)^2) + 4 ulp(max|b|).
+    # At 401 points h = 0.75 w and the term is ~1.15e-15; at 10,001 it is 0.
+    # EQUIV_TOL (criterion 2) stays the shipping bound.
+    cfg = REF_CONFIGS[token]
+    ref = ReferenceEngine(RB, cfg, RefConfig(grid_points=grid_points))
+    closed = ClosedFormEngine(RB, cfg)
+    w, h = ref.ref.consequent_width, float(ref.ys[1] - ref.ys[0])
+    bmax = max(abs(r.consequent) for r in RB.rules)
+    tol = bmax * 2.0 * math.exp(-2.0 * math.pi ** 2 * (w / h) ** 2) + 4 * math.ulp(bmax)
+    axis = np.linspace(-1.0, 1.0, 41).tolist()
+    for x in [(a, b) for a in axis for b in axis]:
+        got, want = ref.infer(x), closed.infer(x)
+        assert got.degenerate == want.degenerate and abs(got.value - want.value) <= tol, x
+
+
 def test_error_does_not_grow_as_width_halves():
     # keep the grid spacing at 0.03 widths while shrinking the width; the
     # grid spans the hull [-1, 1] and 50 widths either side

@@ -61,7 +61,10 @@ first on the path, and prints one sha1 per key:
   followed by their near negation, edge rows of the error-free split
   (``rowsum_edge_matrices``), and the weight and term matrices of the
   first five perfbench ``surface`` ops at seed 1, so that a change to the
-  summation shows even where no CSV byte moves.
+  summation shows even where no CSV byte moves.  The ``rowsum/surface-*``
+  keys hash those results in the order ``infer_batches`` calls
+  ``_row_fsum``, so a change to that order moves them even where every
+  sum is the same.
 
 It prints the keys that differ, or that only one side has, and exits 1
 if there are any, 0 otherwise.
