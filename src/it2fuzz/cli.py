@@ -117,9 +117,12 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_rules(path: str | None) -> RuleBase:
-    rb = load_rulebase(path) if path else default_rulebase()
+def _load_rules(args: argparse.Namespace) -> RuleBase:
+    """The validated ``--rules`` base (the demo when unset), of two inputs."""
+    rb = load_rulebase(args.rules) if args.rules else default_rulebase()
     rb.require_valid()
+    if rb.n_inputs != 2:
+        raise CliError(f"{args.command} evaluates 2 inputs, but the rule base has {rb.n_inputs}")
     return rb
 
 
@@ -177,7 +180,7 @@ def generate_surface(rb: RuleBase, spec: SurfaceSpec) -> list[str]:
 
 def cmd_surface(args: argparse.Namespace) -> int:
     out = args.out and _out_path(args.out)
-    rb = _load_rules(args.rules)
+    rb = _load_rules(args)
     spec = SurfaceSpec(grid=args.grid, engines=_engine_tokens(args.engine))
     _write_out("\n".join(generate_surface(rb, spec)) + "\n", out)
     return 0
@@ -188,7 +191,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
 def cmd_pendulum(args: argparse.Namespace) -> int:
     trace_out, summary_out = (_out_path(args.out + end)
                               for end in ("_trace.csv", "_summary.json"))
-    rb = _load_rules(args.rules)
+    rb = _load_rules(args)
     engine = build_engine(rb, args.engine)
     cfg = LoopConfig(step=args.step, duration=args.duration, initial_angle=args.angle0)
     code = 0
@@ -292,7 +295,7 @@ def run_bench(rb: RuleBase, engine_tokens: tuple[str, ...], probes: int,
 
 def cmd_bench(args: argparse.Namespace) -> int:
     out = args.out and _out_path(args.out)
-    rb = _load_rules(args.rules)
+    rb = _load_rules(args)
     report = run_bench(rb, _engine_tokens(args.engine), args.probes, seed=args.seed)
     _write_out(json.dumps(report, indent=2) + "\n", out)
     return 0

@@ -2,9 +2,10 @@
 
 An interval type-2 fuzzy set is fully described by the band between its
 lower and upper membership functions (the footprint of uncertainty, FOU).
-Two FOU families are supported: uncertain mean, where the Gaussian center
-ranges over [mean_lo, mean_hi] at a fixed width, and uncertain sigma, where
-the center is fixed and the width ranges over [sigma_lo, sigma_hi].
+A set is its two intervals, and at most one of them is wide: uncertain
+mean, where the Gaussian center ranges over [mean_lo, mean_hi] at a fixed
+width, or uncertain sigma, where the center is fixed and the width ranges
+over [sigma_lo, sigma_hi].
 
 Every bound is one formula, ``scale * exp(-z*z / 2)`` with ``z = (x - m) /
 sigma`` for a mean ``m`` in [lo, hi] (``IT2Gaussian.bounds``): the upper
@@ -29,15 +30,10 @@ import numpy as np
 __all__ = [
     "ScaledGaussian",
     "IT2Gaussian",
-    "UNCERTAIN_MEAN",
-    "UNCERTAIN_SIGMA",
     "default_fit_window",
     "fit_bounds",
     "FitDominanceViolated",
 ]
-
-UNCERTAIN_MEAN = "uncertain_mean"
-UNCERTAIN_SIGMA = "uncertain_sigma"
 
 # 1/phi, the golden-section step ratio.
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -72,22 +68,21 @@ class ScaledGaussian:
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized evaluation over an array of abscissas."""
-        z = (np.asarray(xs, dtype=float) - self.mean) / self.sigma
-        return self.scale * np.exp(-0.5 * z * z)
+        return upper_bound(np.asarray(xs, dtype=float), self.mean, self.mean, self.sigma,
+                           self.scale)
 
 
 @dataclass(frozen=True)
 class IT2Gaussian:
-    """Interval type-2 Gaussian set, either uncertain-mean or uncertain-sigma.
+    """Interval type-2 Gaussian set: a mean and a sigma interval, not both wide.
 
-    Use the ``uncertain_mean`` / ``uncertain_sigma`` constructors rather
-    than filling the fields directly.  ``fitted_umf`` / ``fitted_lmf``
-    hold optional scaled-Gaussian stand-ins for the exact bounds; attach
-    them with :meth:`with_fitted` or :meth:`fit`.  Means must be finite and
-    sigmas positive and finite.
+    Which family a set is follows from the intervals (see the module doc).
+    Build one with ``uncertain_mean`` / ``uncertain_sigma``.  ``fitted_umf`` /
+    ``fitted_lmf`` hold optional scaled-Gaussian stand-ins for the exact
+    bounds; attach them with :meth:`with_fitted` or :meth:`fit`.  Means must
+    be finite and sigmas positive and finite.
     """
 
-    kind: str
     mean_lo: float
     mean_hi: float
     sigma_lo: float
@@ -96,26 +91,22 @@ class IT2Gaussian:
     fitted_lmf: ScaledGaussian | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (UNCERTAIN_MEAN, UNCERTAIN_SIGMA):
-            raise ValueError(f"unknown FOU kind {self.kind!r}")
         if not (math.isfinite(self.mean_lo) and math.isfinite(self.mean_hi)):
             raise ValueError(f"means must be finite, got {self.mean_lo}, {self.mean_hi}")
         if not self.mean_lo <= self.mean_hi:
             raise ValueError("mean_lo must not exceed mean_hi")
         if not 0.0 < self.sigma_lo <= self.sigma_hi < math.inf:
             raise ValueError("sigmas must satisfy 0 < sigma_lo <= sigma_hi < inf")
-        if self.kind == UNCERTAIN_MEAN and self.sigma_lo != self.sigma_hi:
-            raise ValueError("uncertain-mean sets use a single sigma")
-        if self.kind == UNCERTAIN_SIGMA and self.mean_lo != self.mean_hi:
-            raise ValueError("uncertain-sigma sets use a single mean")
+        if self.mean_lo != self.mean_hi and self.sigma_lo != self.sigma_hi:
+            raise ValueError("a set has an uncertain mean or an uncertain sigma, not both")
 
     @classmethod
     def uncertain_mean(cls, mean_lo: float, mean_hi: float, sigma: float) -> "IT2Gaussian":
-        return cls(UNCERTAIN_MEAN, float(mean_lo), float(mean_hi), float(sigma), float(sigma))
+        return cls(float(mean_lo), float(mean_hi), float(sigma), float(sigma))
 
     @classmethod
     def uncertain_sigma(cls, mean: float, sigma_lo: float, sigma_hi: float) -> "IT2Gaussian":
-        return cls(UNCERTAIN_SIGMA, float(mean), float(mean), float(sigma_lo), float(sigma_hi))
+        return cls(float(mean), float(mean), float(sigma_lo), float(sigma_hi))
 
     @property
     def center(self) -> float:

@@ -9,8 +9,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .mf import (UNCERTAIN_MEAN, UNCERTAIN_SIGMA, IT2Gaussian, ScaledGaussian,
-                 lower_within_upper)
+from .mf import IT2Gaussian, ScaledGaussian, lower_within_upper
 
 __all__ = [
     "Partition",
@@ -226,11 +225,11 @@ def default_rulebase() -> RuleBase:
 # -- JSON round-tripping -------------------------------------------------
 
 def _set_to_dict(s: IT2Gaussian) -> dict:
-    if s.kind == UNCERTAIN_MEAN:
-        d: dict = {"kind": UNCERTAIN_MEAN, "mean_lo": s.mean_lo,
+    if s.sigma_lo == s.sigma_hi:
+        d: dict = {"kind": "uncertain_mean", "mean_lo": s.mean_lo,
                    "mean_hi": s.mean_hi, "sigma": s.sigma_lo}
     else:
-        d = {"kind": UNCERTAIN_SIGMA, "mean": s.mean_lo,
+        d = {"kind": "uncertain_sigma", "mean": s.mean_lo,
              "sigma_lo": s.sigma_lo, "sigma_hi": s.sigma_hi}
     for key, g in (("fitted_umf", s.fitted_umf), ("fitted_lmf", s.fitted_lmf)):
         if g is not None:
@@ -243,9 +242,9 @@ def _set_from_dict(d: dict) -> IT2Gaussian:
         return _typed(src[key], (int, float), key)
 
     kind = d.get("kind")
-    if kind == UNCERTAIN_MEAN:
+    if kind == "uncertain_mean":
         s = IT2Gaussian.uncertain_mean(num(d, "mean_lo"), num(d, "mean_hi"), num(d, "sigma"))
-    elif kind == UNCERTAIN_SIGMA:
+    elif kind == "uncertain_sigma":
         s = IT2Gaussian.uncertain_sigma(num(d, "mean"), num(d, "sigma_lo"), num(d, "sigma_hi"))
     else:
         raise ValueError(f"unknown set kind {kind!r}")

@@ -73,12 +73,13 @@ def t1_center_average(x1, x2, sigma, centers=DEMO_CENTERS,
     return num / den
 
 
-# The exact FOU bounds written per set kind, branch by branch, apart from
-# it2fuzz.mf's one formula for both kinds. ``m`` is an IT2Gaussian; only its
-# fields are read.
+# The exact FOU bounds written per FOU family, branch by branch, apart from
+# it2fuzz.mf's one formula for both families: a point mean interval takes
+# the uncertain-sigma branch, and a collapsed set gives the same bits down
+# either one. ``m`` is an IT2Gaussian; only its fields are read.
 def exact_umf(m, x):
     """Exact upper bound at a point."""
-    if m.kind == "uncertain_sigma":
+    if m.mean_lo == m.mean_hi:
         z = (x - m.mean_lo) / m.sigma_hi
         return math.exp(-0.5 * z * z)
     # NaN fails both tests and falls through to exp, which keeps it NaN.
@@ -93,7 +94,7 @@ def exact_umf(m, x):
 
 def exact_lmf(m, x):
     """Exact lower bound at a point."""
-    if m.kind == "uncertain_sigma":
+    if m.mean_lo == m.mean_hi:
         z = (x - m.mean_lo) / m.sigma_lo
         return math.exp(-0.5 * z * z)
     zl = (x - m.mean_lo) / m.sigma_lo
@@ -104,7 +105,7 @@ def exact_lmf(m, x):
 def exact_umf_samples(m, xs):
     """``exact_umf`` over an array, through ``np.exp``."""
     xs = np.asarray(xs, dtype=float)
-    if m.kind == "uncertain_sigma":
+    if m.mean_lo == m.mean_hi:
         z = (xs - m.mean_lo) / m.sigma_hi
         return np.exp(-0.5 * z * z)
     zl = (xs - m.mean_lo) / m.sigma_hi
@@ -120,7 +121,7 @@ def exact_umf_samples(m, xs):
 def exact_lmf_samples(m, xs):
     """``exact_lmf`` over an array, through ``np.exp``."""
     xs = np.asarray(xs, dtype=float)
-    if m.kind == "uncertain_sigma":
+    if m.mean_lo == m.mean_hi:
         z = (xs - m.mean_lo) / m.sigma_lo
         return np.exp(-0.5 * z * z)
     zl = (xs - m.mean_lo) / m.sigma_lo

@@ -1,19 +1,28 @@
 """End-to-end checks of the command-line workbench."""
 
+import contextlib
+import copy
+import functools
+import io
+import itertools
 import json
 import math
+import operator
+import re
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from it2fuzz import (BoundSource, ClosedFormEngine, EngineConfig, Form, ReferenceEngine,
-                     RuleBase, default_rulebase, dump_rulebase, rulebase_to_dict)
+                     Rule, RuleBase, default_rulebase, dump_rulebase, rulebase_to_dict)
 from it2fuzz import cli, engine as engine_mod
 from it2fuzz.cli import (CliError, SurfaceSpec, generate_surface, lcg_probes,
                          main, parse_engine_mode, run_bench)
 
 import oracles
-from helpers import ConstantEngine, demo_like_rulebase, split_rulebase
+from helpers import ConstantEngine, demo_like_rulebase, one_input_rulebase, split_rulebase
 
 RB = default_rulebase()
 
@@ -333,6 +342,89 @@ def test_surface_rejects_rule_file_that_is_not_json(text, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: invalid rule base:\n  [schema] rule file is not JSON")
     assert "Traceback" not in err
+
+
+def _json_paths(node, path=()):
+    """The path of every key and list item under ``node``, at any depth."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def _json_type(value) -> str:
+    """The JSON type of a parsed value: an int and a float are both numbers."""
+    return ("bool" if isinstance(value, bool) else "number" if isinstance(value, (int, float))
+            else type(value).__name__)
+
+
+# One value of each JSON type, for replacing a value of another type.
+JSON_VALUES = ("x", [], [0], {}, {"b": 0}, True, None, 0.5)
+MUTATED_BASES = [rulebase_to_dict(rb) for rb in (RB, split_rulebase(RB))]
+
+
+@st.composite
+def mutated_rule_files(draw):
+    """The demo or split demo as JSON text with one key or list item, at any
+    depth, deleted or replaced by a value of another JSON type, or a number
+    replaced by NaN or +-inf (written ``NaN`` and ``1e999``)."""
+    d = copy.deepcopy(draw(st.sampled_from(MUTATED_BASES)))
+    *head, key = draw(st.sampled_from(list(_json_paths(d))))
+    parent = functools.reduce(operator.getitem, head, d)
+    kind = _json_type(parent[key])
+    values = [v for v in JSON_VALUES if _json_type(v) != kind]
+    if kind == "number":
+        values += [math.nan, math.inf, -math.inf]
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = copy.deepcopy(draw(st.sampled_from(values)))
+    return json.dumps(d).replace("Infinity", "1e999")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=mutated_rule_files())
+def test_a_mutated_rule_file_exits_0_or_2_with_coded_violations(text, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("mutated")
+    rules, out = tmp / "rules.json", tmp / "x.csv"
+    rules.write_text(text)
+    err, stdout = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdout):
+        rc = main(["surface", "--rules", str(rules), "--grid", "2", "--out", str(out)])
+    err, stdout = err.getvalue(), stdout.getvalue()
+    assert rc in (0, 2) and stdout == "" and "Traceback" not in err
+    assert out.exists() == (rc == 0)
+    if rc == 0:
+        assert err == ""
+    else:
+        first, *coded = err.splitlines()
+        assert first == "error: invalid rule base:" and coded
+        assert all(re.fullmatch(r"  \[[a-z_]+\] .+", line) for line in coded), err
+
+
+def three_input_rulebase() -> RuleBase:
+    p = RB.partitions[0]
+    return RuleBase((p, p, p), tuple(Rule(a, 0.1 * sum(a))
+                                     for a in itertools.product(range(3), repeat=3)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["surface", "--grid", "3"],
+    ["surface", "--grid", "3", "--engine", "gc-ref"],
+    ["pendulum", "--duration", "0.01"],
+    ["bench", "--probes", "5"],
+], ids=["surface", "surface-gc-ref", "pendulum", "bench"])
+@pytest.mark.parametrize("rb, n", [(one_input_rulebase(), 1), (three_input_rulebase(), 3)],
+                         ids=["one-input", "three-input"])
+def test_a_rule_base_without_two_inputs_exits_2_saying_why(argv, rb, n, tmp_path, capsys):
+    rules = tmp_path / "rules.json"
+    dump_rulebase(rb, rules)
+    assert rb.validate() == []
+    assert main(argv + ["--rules", str(rules), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {argv[0]} evaluates 2 inputs, but the rule base has {n}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["rules.json"]
 
 
 def test_surface_validates_rule_base_once(monkeypatch, capsys):

@@ -21,7 +21,7 @@ from it2fuzz import (
     fit_bounds,
 )
 from it2fuzz.cli import lcg_probes
-from it2fuzz.mf import UNCERTAIN_MEAN, UNCERTAIN_SIGMA, _golden_min, lower_within_upper
+from it2fuzz.mf import _golden_min, lower_within_upper
 
 import oracles
 from oracles import (
@@ -76,6 +76,8 @@ def test_scaled_gaussian_sample_matches_scalar():
     xs = np.linspace(-2.0, 2.0, 101)
     assert np.allclose(g.sample(xs), [oracles.gauss(float(x), 0.2, 0.5, 0.9) for x in xs],
                        rtol=0.0, atol=1e-15)
+    special = g.sample(np.array([math.nan, math.inf, -math.inf, 0.2]))
+    assert np.isnan(special[0]) and special[1:].tolist() == [0.0, 0.0, 0.9]
 
 
 def test_fou_constructor_validation():
@@ -85,12 +87,8 @@ def test_fou_constructor_validation():
         IT2Gaussian.uncertain_mean(-0.1, 0.1, 0.0)
     with pytest.raises(ValueError):
         IT2Gaussian.uncertain_sigma(0.0, 0.5, 0.3)
-    with pytest.raises(ValueError):
-        IT2Gaussian("triangular", 0.0, 0.0, 1.0, 1.0)
-    with pytest.raises(ValueError, match="single sigma"):
-        IT2Gaussian(UNCERTAIN_MEAN, -0.1, 0.1, 0.3, 0.4)
-    with pytest.raises(ValueError, match="single mean"):
-        IT2Gaussian(UNCERTAIN_SIGMA, -0.1, 0.1, 0.3, 0.4)
+    with pytest.raises(ValueError, match="not both"):
+        IT2Gaussian(-0.1, 0.1, 0.3, 0.4)
     for bad in (lambda: IT2Gaussian.uncertain_mean(-math.inf, 0.1, 0.4),
                 lambda: IT2Gaussian.uncertain_mean(-0.1, math.inf, 0.4),
                 lambda: IT2Gaussian.uncertain_mean(-0.1, 0.1, math.inf),

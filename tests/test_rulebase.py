@@ -207,6 +207,20 @@ def test_collapsed_roundtrip_via_dict():
     assert rulebase_from_dict(rulebase_to_dict(rb)) == rb
 
 
+@pytest.mark.parametrize("s, kind", [
+    (IT2Gaussian.uncertain_sigma(0.25, 0.3, 0.3).fit(), "uncertain_mean"),
+    (IT2Gaussian.uncertain_sigma(0.25, 0.3, 0.4).fit(), "uncertain_sigma"),
+], ids=["collapsed-sigma", "wide-sigma"])
+def test_a_set_dumps_in_the_form_its_sigmas_pick_and_loads_equal(s, kind, tmp_path):
+    # A set is its two intervals: a collapsed uncertain-sigma set is the
+    # same set as the collapsed uncertain-mean one, written in that form.
+    rb = RuleBase((Partition((-1.0, 1.0), (s,)),), (Rule((0,), 0.5),))
+    assert rulebase_to_dict(rb)["inputs"][0]["sets"][0]["kind"] == kind
+    path = tmp_path / "one-set.json"
+    dump_rulebase(rb, path)
+    assert load_rulebase(path) == rb
+
+
 def test_bundled_rules_match_builtin(tmp_path):
     # the packaged resource is the demo, written in dump_rulebase's format
     path = tmp_path / "demo.json"
