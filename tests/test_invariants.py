@@ -4,10 +4,11 @@ The named bases in ``helpers`` stay as regression anchors; this strategy
 reaches the layouts they miss: one to three inputs of one to four sets,
 both FOU families down to collapsed and near-collapsed FOUs, fitted bounds
 from ``fit()`` or set by hand, crisp or split consequents up to the
-validation limit, and rules in shuffled order.  One draw of 40 bases
-runs three checks: the invariants, the kernel against the loop oracle,
-and a dump/load round trip that keeps every closed form bit for bit.  On
-two-input bases the surface CSV equals a per-point formatting byte for byte.
+validation limit, and rules in shuffled order.  Three properties share
+one seed and so the same 40 bases: the invariants, the kernel against the
+loop oracle, and a dump/load round trip that keeps every closed form bit
+for bit.  On two-input bases the surface CSV equals a per-point formatting
+byte for byte.
 A second strategy mirrors such bases about the origin, and on those every
 closed form is exactly odd.
 """
@@ -16,7 +17,7 @@ import itertools
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from it2fuzz import (IT2Gaussian, Partition, Rule, RuleBase, ScaledGaussian, dump_rulebase,
@@ -163,13 +164,30 @@ def check_dump_load_round_trip(rb, path):
             assert (a.value.hex(), a.degenerate) == (b.value.hex(), b.degenerate), (token, x)
 
 
-# One draw for the three checks: Hypothesis seeds a derandomized test from
-# its own source, so editing a check leaves the 40 bases as they are.
+# One seed for the three properties below, so they draw the same 40 bases.
+# With ``derandomize`` alone Hypothesis seeds each test from a digest of its
+# own source, and any edit to a test would swap its bases for new ones.
+BASES_SEED = 20240601
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
+@seed(BASES_SEED)
 @given(rb=rule_bases())
-def test_invariants_oracle_and_round_trip_on_generated_rule_bases(tmp_path_factory, rb):
+def test_closed_form_invariants_on_generated_rule_bases(rb):
     check_closed_form_invariants(rb)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@seed(BASES_SEED)
+@given(rb=rule_bases())
+def test_kernel_equals_the_loop_oracle_on_generated_rule_bases(rb):
     check_kernel_equals_the_loop_oracle(rb)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@seed(BASES_SEED)
+@given(rb=rule_bases())
+def test_dump_load_round_trip_keeps_every_closed_form_bit_for_bit(tmp_path_factory, rb):
     check_dump_load_round_trip(rb, tmp_path_factory.mktemp("rules") / "rules.json")
 
 
