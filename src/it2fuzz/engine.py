@@ -201,9 +201,8 @@ class ClosedFormEngine:
             # Rows lo, hi, sigma, scale; one column per set.
             bounds = np.array([s.bounds(self._fitted) for s in part.sets])
             upper, lower = bounds.transpose(1, 2, 0)
-            with np.errstate(over="ignore"):
-                mu = upper_bound(xs, *upper, exp=_exp)
-                ml = lower_bound(xs, *lower, exp=_exp)
+            mu = upper_bound(xs, *upper, exp=_exp)
+            ml = lower_bound(xs, *lower, exp=_exp)
             u = mu[:, ante][inverse]
             l = ml[:, ante][inverse]
             # Left to right as in the kernel's products.

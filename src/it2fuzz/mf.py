@@ -144,16 +144,18 @@ class IT2Gaussian:
 
 def upper_bound(xs: np.ndarray, lo, hi, sigma, scale, exp=np.exp) -> np.ndarray:
     """The upper bound at each of ``xs``; the parameters broadcast."""
-    z = (xs - np.clip(xs, lo, hi)) / sigma  # np.clip keeps NaN
-    return scale * exp(-0.5 * z * z)
+    with np.errstate(over="ignore"):  # z * z is inf past ~1e154 widths: exp(-inf) is 0.0
+        z = (xs - np.clip(xs, lo, hi)) / sigma  # np.clip keeps NaN
+        return scale * exp(-0.5 * z * z)
 
 
 def lower_bound(xs: np.ndarray, lo, hi, sigma, scale, exp=np.exp) -> np.ndarray:
     """The lower bound at each of ``xs``; the parameters broadcast."""
-    zl = (xs - lo) / sigma
-    zh = (xs - hi) / sigma
-    z = np.where(zl * zl >= zh * zh, zl, zh)
-    return scale * exp(-0.5 * z * z)
+    with np.errstate(over="ignore"):  # as in upper_bound
+        zl = (xs - lo) / sigma
+        zh = (xs - hi) / sigma
+        z = np.where(zl * zl >= zh * zh, zl, zh)
+        return scale * exp(-0.5 * z * z)
 
 
 def default_fit_window(m: IT2Gaussian) -> tuple[float, float]:

@@ -68,9 +68,11 @@ class RefConfig:
 
 @functools.lru_cache(maxsize=4)
 def _output_grid(centers: tuple[float, ...], ref: RefConfig
-                 ) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
+                 ) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...], list]:
     """The output grid ``ys``, one unit-height Gaussian consequent row per
-    center on it, both read-only, and each row's nonzero span ``(a, b)``.
+    center on it, both read-only, each row's nonzero span ``(a, b)``, and
+    the last sweep over the rows, ``[firing, (upper, lower)]`` once
+    ``ReferenceEngine.curves`` has swept and empty before.
 
     The grid runs from ``min(centers) - 50 w`` to ``max(centers) + 50 w``,
     ``w`` the consequent width: fifty widths out a row has underflowed to
@@ -80,11 +82,11 @@ def _output_grid(centers: tuple[float, ...], ref: RefConfig
     row is all zeros and every span is non-empty.
 
     They depend only on the arguments, so engines over the same centers and
-    grid share them; the few most recent layouts are kept.  A -0.0 and
-    a 0.0 center share an entry: a center reaches ``exp`` only through
-    ``z * z``, and the hull's ends only through a nonzero difference, so
-    both give the same grid and row.  ``row[:a]`` and ``row[b:]`` hold only
-    zeros.
+    grid share them, the one last sweep included; the few most recent
+    layouts are kept.  A -0.0 and a 0.0 center share an entry: a center
+    reaches ``exp`` only through ``z * z``, and the hull's ends only through
+    a nonzero difference, so both give the same grid and row.  ``row[:a]``
+    and ``row[b:]`` hold only zeros.
     """
     w = ref.consequent_width
     lo, hi = min(centers) - 50.0 * w, max(centers) + 50.0 * w
@@ -102,7 +104,7 @@ def _output_grid(centers: tuple[float, ...], ref: RefConfig
     for row in gmat:
         nonzero = np.flatnonzero(row)
         spans.append((int(nonzero[0]), int(nonzero[-1]) + 1))
-    return ys, gmat, tuple(spans)
+    return ys, gmat, tuple(spans), []
 
 
 def _centroid(ys: np.ndarray, curve: np.ndarray) -> float | None:
@@ -138,9 +140,6 @@ def coa_decomposition_check(ys: np.ndarray, upper: np.ndarray,
     return lhs, rhs
 
 
-_last_curves = None  # (gmat, firing, (upper, lower)) of the last sweep
-
-
 class ReferenceEngine:
     """Discretized twin of ``ClosedFormEngine(rb, cfg)``, same infer(x) surface.
 
@@ -149,12 +148,12 @@ class ReferenceEngine:
     ``cfg.bound_source`` the bounds the rules fire through, ``ref`` the
     grid (a ValueError if too coarse for the centers, see ``_output_grid``).
     ``curves(x)`` gives the output FOU that ``infer(x)`` defuzzifies,
-    sampled at ``ys``, in read-only arrays it may share with a twin
-    engine's last call.  The consequent matrix is input-independent:
-    engines over the same consequent centers and grid share one,
-    read-only, as they share the read-only ``ys``, and it is built again
-    only once its layout has left the small cache of recent layouts
-    (``_output_grid``).  Each infer adds a row only over its
+    sampled at ``ys``, in read-only arrays it may share with the last call
+    of an engine over the same layout.  The consequent matrix is
+    input-independent: engines over the same consequent centers and grid
+    share one, read-only, as they share the read-only ``ys``, and it is
+    built again only once its layout has left the small cache of recent
+    layouts (``_output_grid``).  Each infer adds a row only over its
     nonzero span: beyond it the row is exactly 0.0, and adding a finite
     firing times 0.0 to a sum that starts at +0.0 changes no bit, so the
     curves equal a full-row sweep's bit for bit.  A non-finite firing
@@ -176,22 +175,21 @@ class ReferenceEngine:
         self.cfg = cfg
         self.ref = ref
         self._centers = centers
-        self.ys, self._gmat, self._spans = _output_grid(tuple(centers), ref)
+        self.ys, self._gmat, self._spans, self._last = _output_grid(tuple(centers), ref)
 
     def curves(self, x: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """Upper and lower output curves at x: firing times consequent rows, summed.
 
-        Both are read-only.  The last sweep is kept, in one assignment, and
-        returned again to any engine over the same matrix (``is``: the memo
-        holds it, so its id is not reused) at an equal firing (``==``), with
-        the same bits: a NaN equals only itself, and a -0.0 equal to 0.0 adds
-        -0.0 times a row to sums that start at +0.0, as firing is ``>= 0``.
+        Both are read-only.  The layout's last sweep is kept with it, in one
+        assignment, and returned again to any engine over the same layout
+        at an equal firing (``==``), with the same bits: a NaN equals only
+        itself, and a -0.0 equal to 0.0 adds -0.0 times a row to sums that
+        start at +0.0, as firing is ``>= 0``.
         """
-        global _last_curves
         firing = self._closed.fire(x)
-        gmat, spans = self._gmat, self._spans
-        if (last := _last_curves) and last[0] is gmat and last[1] == firing:
-            return last[2]
+        gmat, spans, last = self._gmat, self._spans, self._last
+        if last and last[0] == firing:
+            return last[1]
         centers = self._centers
         # One fixed accumulation order for both curves: permuting the rule
         # list must not change the result, and using the same order for the
@@ -209,7 +207,7 @@ class ReferenceEngine:
             upper[a:b] += np.multiply(up, row, out=part)
             lower[a:b] += np.multiply(lo, row, out=part)
         upper.flags.writeable = lower.flags.writeable = False
-        _last_curves = (gmat, firing, (upper, lower))
+        last[:] = firing, (upper, lower)
         return upper, lower
 
     def infer(self, x: Sequence[float]) -> InferenceResult:

@@ -10,6 +10,9 @@ from oracles import DEMO_CONSEQUENTS
 
 DEMO_SIGMA = 0.418
 DEMO_SPREAD = 0.125
+# Every closed-form token, in the order of perfbench's six-token surface op.
+CLOSED_TOKENS = ("gc-closed", "gc-closed-split", "nt-closed",
+                 "gc-closed-exact", "gc-closed-split-exact", "nt-closed-exact")
 
 
 def demo_partition(spread: float = DEMO_SPREAD) -> Partition:

@@ -22,7 +22,8 @@ from it2fuzz.cli import (CliError, SurfaceSpec, generate_surface, lcg_probes,
                          main, parse_engine_mode, run_bench)
 
 import oracles
-from helpers import ConstantEngine, demo_like_rulebase, one_input_rulebase, split_rulebase
+from helpers import (CLOSED_TOKENS, ConstantEngine, demo_like_rulebase, one_input_rulebase,
+                     split_rulebase)
 
 RB = default_rulebase()
 
@@ -147,18 +148,13 @@ def test_surface_batches_closed_forms_only(monkeypatch):
     assert calls == {"firing": 2, "row_fsum": 4, "infer": 0, "ref": 9}
 
 
-# The perfbench surface op's six tokens.
-SIX_CLOSED = tuple(f"{f}{s}" for s in ("", "-exact")
-                   for f in ("gc-closed", "gc-closed-split", "nt-closed"))
-
-
 def test_surface_fires_once_per_bound_source(monkeypatch):
     # Per bound source one firing pass, one denominator shared by the gc
     # forms, one for nt, and one numerator per form.
     rb = split_rulebase(RB)
-    want = generate_surface(rb, SurfaceSpec(grid=5, engines=SIX_CLOSED[:1]))
+    want = generate_surface(rb, SurfaceSpec(grid=5, engines=CLOSED_TOKENS[:1]))
     calls = count_surface_calls(monkeypatch)
-    lines = generate_surface(rb, SurfaceSpec(grid=5, engines=SIX_CLOSED))
+    lines = generate_surface(rb, SurfaceSpec(grid=5, engines=CLOSED_TOKENS))
     assert calls == {"firing": 2, "row_fsum": 10, "infer": 0, "ref": 0}
     assert [line.split(",")[:3] for line in lines[1:]] == [
         line.split(",") for line in want[1:]]
@@ -177,7 +173,7 @@ def test_surface_planted_nan_engine_skips_the_batch(monkeypatch):
 
 @pytest.mark.parametrize("rb, tokens, grid, axis_range", [
     (RB, ("gc-closed", "gc-ref", "nt-closed-exact", "nt-ref-exact"), 7, (-1.0, 1.0)),
-    (split_rulebase(RB), SIX_CLOSED, 7, (-1.0, 1.0)),
+    (split_rulebase(RB), CLOSED_TOKENS, 7, (-1.0, 1.0)),
     (RB, ("gc-closed", "gc-ref"), 2, (-1.0, 1.0)),
     (RB, ("gc-closed-exact", "nt-ref", "nt-closed"), 6, (-0.3, 0.9)),
 ], ids=["demo-mixed", "split-six-closed", "grid-2", "asymmetric-range"])

@@ -26,8 +26,8 @@ from it2fuzz import engine as engine_mod
 from it2fuzz.cli import build_engine, lcg_probes
 from it2fuzz.engine import _row_fsum, infer_batches
 
-from helpers import (collapsed_rulebase, huge_split_rulebase, partly_collapsed_rulebase,
-                     split_rulebase, uneven_rulebase)
+from helpers import (CLOSED_TOKENS, collapsed_rulebase, huge_split_rulebase,
+                     partly_collapsed_rulebase, split_rulebase, uneven_rulebase)
 import oracles
 from oracles import (DEMO_CONSEQUENTS, GC_CORNER, NT_CORNER, SPLIT_ORIGIN,
                      demo_gc, demo_nt, t1_center_average)
@@ -239,10 +239,6 @@ def test_neighboring_grid_outputs_stay_close():
     vals = np.array([[engine.infer((a, b)).value for b in axis] for a in axis])
     assert float(np.max(np.abs(np.diff(vals, axis=0)))) < 0.2
     assert float(np.max(np.abs(np.diff(vals, axis=1)))) < 0.2
-
-
-CLOSED_TOKENS = ("gc-closed", "gc-closed-split", "nt-closed",
-                 "gc-closed-exact", "gc-closed-split-exact", "nt-closed-exact")
 
 
 UNEVEN_POINTS = ([(a, b, c) for a in (-1.0, -0.0, 0.37) for b in (-0.6, 0.0, 0.95)

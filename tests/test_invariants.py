@@ -4,11 +4,12 @@ The named bases in ``helpers`` stay as regression anchors; this strategy
 reaches the layouts they miss: one to three inputs of one to four sets,
 both FOU families down to collapsed and near-collapsed FOUs, fitted bounds
 from ``fit()`` or set by hand, crisp or split consequents up to the
-validation limit, and rules in shuffled order.  Three properties share
+validation limit, and rules in shuffled order.  Four properties share
 one seed and so the same 40 bases: the invariants, the kernel against the
-loop oracle, and a dump/load round trip that keeps every closed form bit
-for bit.  On two-input bases the surface CSV equals a per-point formatting
-byte for byte.
+loop oracle, a dump/load round trip that keeps every closed form bit for
+bit, and the gc and nt reference twins against their closed forms on a
+coarse grid.  On two-input bases the surface CSV equals a per-point
+formatting byte for byte.
 A second strategy mirrors such bases about the origin, and on those every
 closed form is exactly odd.
 """
@@ -20,15 +21,14 @@ import numpy as np
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from it2fuzz import (IT2Gaussian, Partition, Rule, RuleBase, ScaledGaussian, dump_rulebase,
-                     load_rulebase)
+from it2fuzz import (IT2Gaussian, Partition, RefConfig, Rule, RuleBase, ScaledGaussian,
+                     dump_rulebase, load_rulebase)
 from it2fuzz.cli import SurfaceSpec, build_engine, generate_surface
-from it2fuzz.engine import infer_batches
+from it2fuzz.engine import DEGENERATE_EPSILON, infer_batches
 
 import oracles
+from helpers import CLOSED_TOKENS
 
-CLOSED_TOKENS = ("gc-closed", "gc-closed-split", "nt-closed",
-                 "gc-closed-exact", "gc-closed-split-exact", "nt-closed-exact")
 # Per-axis values: inside and outside the sets' universe, and both zeros.
 AXIS = (-2.5, -0.7, -0.0, 0.0, 0.35, 1.0, 1.6)
 
@@ -164,7 +164,51 @@ def check_dump_load_round_trip(rb, path):
             assert (a.value.hex(), a.degenerate) == (b.value.hex(), b.degenerate), (token, x)
 
 
-# One seed for the three properties below, so they draw the same 40 bases.
+def check_twins_agree_with_their_closed_forms(rb):
+    """The gc and nt reference twins, fitted and exact, on a grid of spacing
+    h at most 0.75 consequent widths w, in at most 149 points, give their
+    closed forms' flags, and values within the trapezoid aliasing term (see
+    ``tests/test_reference.py``) plus rounding.
+
+    The rounding has a cancellation term: the reference's ``upper -
+    lower`` sums R rules on N points, so on a near-collapsed FOU it loses
+    digits in proportion to ``sum(u + l) / den``, den the closed form's
+    denominator.  The reference's mass is about sqrt(2 pi) w / h times den,
+    so the flags may differ only where den lies within 10 times
+    ``DEGENERATE_EPSILON``; such rows are counted and skipped.  Returns the
+    number of regular rows compared and the number skipped."""
+    b = [r.consequent for r in rb.rules]
+    spread, bmax = max(b) - min(b), max(map(abs, b))
+    # The grid spans the spread and 100 w, so spread / w <= 10 bounds N.
+    w = max(spread / 10.0, bmax / 100.0, 0.01)
+    ref = RefConfig(math.ceil((spread + 100.0 * w) / (0.75 * w)) + 2, w)
+    xs = points(rb.n_inputs)
+    compared = skipped = 0
+    for source in ("", "-exact"):
+        twins = [(build_engine(rb, f"{form}-ref{source}", ref),
+                  build_engine(rb, f"{form}-closed{source}")) for form in ("gc", "nt")]
+        ys = twins[0][0].ys
+        h, ymax = float(ys[1] - ys[0]), max(-ys[0], ys[-1])
+        floor = bmax * 2.0 * math.exp(-2.0 * math.pi ** 2 * (w / h) ** 2) + 4 * math.ulp(bmax)
+        rounding = 4 * (len(rb.rules) + ys.size) * 2.0 ** -53 * ymax
+        for x in xs:
+            firing = twins[0][1].fire(x)
+            mass = math.fsum(f.upper + f.lower for f in firing)
+            for (reference, closed), sign in zip(twins, (-1.0, 1.0)):
+                got, want = reference.infer(x), closed.infer(x)
+                den = math.fsum(f.upper + sign * f.lower for f in firing)
+                if got.degenerate != want.degenerate:
+                    assert DEGENERATE_EPSILON / 10 <= den <= 10 * DEGENERATE_EPSILON, (
+                        reference.cfg, x)
+                    skipped += 1
+                elif not got.degenerate:
+                    compared += 1
+                    tol = floor + rounding * mass / den
+                    assert abs(got.value - want.value) <= tol, (reference.cfg, x)
+    return compared, skipped
+
+
+# One seed for the four properties below, so they draw the same 40 bases.
 # With ``derandomize`` alone Hypothesis seeds each test from a digest of its
 # own source, and any edit to a test would swap its bases for new ones.
 BASES_SEED = 20240601
@@ -189,6 +233,14 @@ def test_kernel_equals_the_loop_oracle_on_generated_rule_bases(rb):
 @given(rb=rule_bases())
 def test_dump_load_round_trip_keeps_every_closed_form_bit_for_bit(tmp_path_factory, rb):
     check_dump_load_round_trip(rb, tmp_path_factory.mktemp("rules") / "rules.json")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@seed(BASES_SEED)
+@given(rb=rule_bases())
+def test_reference_twins_agree_with_their_closed_forms_on_generated_rule_bases(rb):
+    compared, skipped = check_twins_agree_with_their_closed_forms(rb)
+    assert skipped < compared
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

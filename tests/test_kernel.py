@@ -8,7 +8,8 @@ from it2fuzz import default_rulebase
 from it2fuzz.cli import build_engine, lcg_probes
 from it2fuzz.engine import DEGENERATE_EPSILON, FiringInterval
 
-from helpers import collapsed_rulebase, one_input_rulebase, split_rulebase, uneven_rulebase
+from helpers import (CLOSED_TOKENS, collapsed_rulebase, one_input_rulebase, split_rulebase,
+                     uneven_rulebase)
 import oracles
 
 DEMO = default_rulebase()
@@ -20,10 +21,8 @@ BASES = {
     "uneven": uneven_rulebase(),
     "one-input": one_input_rulebase(),
 }
-ALL_TOKENS = ("gc-closed", "gc-closed-split", "nt-closed",
-              "gc-closed-exact", "gc-closed-split-exact", "nt-closed-exact")
-CASES = ([("demo", t) for t in ALL_TOKENS if "split" not in t]
-         + [(b, t) for b in ("split", "uneven", "one-input") for t in ALL_TOKENS]
+CASES = ([("demo", t) for t in CLOSED_TOKENS if "split" not in t]
+         + [(b, t) for b in ("split", "uneven", "one-input") for t in CLOSED_TOKENS]
          + [("collapsed", "gc-closed-exact"), ("collapsed", "nt-closed-exact"),
             ("collapsed-split", "gc-closed-split-exact")])
 # The branches each case must reach on kernel_points: every case has inputs
@@ -85,7 +84,7 @@ def test_kernel_rejects_wrong_input_count_like_the_loop(base):
             assert str(got.value) == str(want.value)
 
 
-@pytest.mark.parametrize("token", ALL_TOKENS)
+@pytest.mark.parametrize("token", CLOSED_TOKENS)
 def test_engines_of_one_structure_share_code_not_values(token):
     a = build_engine(one_input_rulebase(), token)
     b = build_engine(one_input_rulebase((-0.6, -0.1, 0.4, 0.9)), token)

@@ -367,6 +367,9 @@ def test_a_different_layout_gets_its_own_matrix(change):
     u, l = other.curves(x)
     assert u is not last[0] and l is not last[1]
     assert _same_bits(u, upper) and _same_bits(l, lower)
+    # Each layout keeps its own last sweep, so the other's did not displace it.
+    again = base.curves(x)
+    assert again[0] is last[0] and again[1] is last[1]
 
 
 def test_shared_arrays_are_read_only():

@@ -16,6 +16,12 @@ record.  Every run lasts BENCHMARK.json's ``run_seconds`` per workload.
 On SIGTERM or Ctrl-C the running ``perfbench/run.py`` and its child are
 killed and both trees removed.
 
+Before the pairs, each ``COLD_COMMANDS`` entry runs ``COLD_RUNS`` times per
+side in a fresh interpreter, BLAS pinned: each run takes every command in
+turn on both sides, parent first in odd runs, after one untimed run that
+writes the bytecode.  The JSON's ``cold_start`` key holds each side's wall
+times in ms, their min and median; BENCHMARK.json sets no bound on them.
+
 With ``--trace 0`` (the default) the JSON written holds, for each
 workload and each end-to-end metric in BENCHMARK.json, each side's median
 and quartiles over the numbered pairs, how many of those pairs the change
@@ -46,6 +52,21 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+COLD_RUNS = 7
+# Name: (argv after the interpreter, exit code).  ``{out}`` is a scratch
+# directory holding ``rejected.json``, a rule file validation rejects.
+# ``python`` and ``import numpy`` are the floor that the CLI starts from.
+CLI = ("-c", "import sys; from it2fuzz.cli import entry; sys.exit(entry())")
+COLD_COMMANDS = {
+    "python": (("-c", "pass"), 0),
+    "import numpy": (("-c", "import numpy"), 0),
+    "it2fuzz pendulum": ((*CLI, "pendulum", "--out", "{out}/pendulum"), 0),
+    "it2fuzz surface": ((*CLI, "surface", "--out", "{out}/surface.csv"), 0),
+    "it2fuzz fit": ((*CLI, "fit", "--dmu", "0.125", "--sigma", "0.418",
+                     "--out", "{out}/fit.json"), 0),
+    "it2fuzz surface, rejected rules": (
+        (*CLI, "surface", "--rules", "{out}/rejected.json", "--out", "{out}/rejected.csv"), 2),
+}
 
 
 def run_side(tree: Path, seed: int, seconds: float, trace: int) -> dict:
@@ -71,6 +92,34 @@ def run_side(tree: Path, seed: int, seconds: float, trace: int) -> dict:
     return {"seed": seed, "correct": last["correct"], "attempted": last["attempted"],
             "failed": last["failed"], "env": env,
             "metrics": {k: m["value"] for k, m in last["metrics"].items()}}
+
+
+def cold_starts(trees: dict[str, Path], out: Path) -> dict:
+    """Each ``COLD_COMMANDS`` entry's fresh-interpreter wall times per side."""
+    (out / "rejected.json").write_text("{}\n")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    times = {name: {side: [] for side in trees} for name in COLD_COMMANDS}
+    for k in range(COLD_RUNS + 1):
+        for name, (args, code) in COLD_COMMANDS.items():
+            for side in ("parent", "change") if k % 2 else ("change", "parent"):
+                t0 = time.perf_counter()
+                proc = subprocess.run([sys.executable, *(a.format(out=out) for a in args)],
+                                      cwd=out, capture_output=True,
+                                      env={**env, "PYTHONPATH": str(trees[side] / "src")})
+                elapsed = 1e3 * (time.perf_counter() - t0)
+                if proc.returncode != code:
+                    raise RuntimeError(f"{name} on the {side} side exited {proc.returncode}, "
+                                       f"not {code}: {proc.stderr.decode()}")
+                if k:  # run 0 writes the bytecode
+                    times[name][side].append(elapsed)
+    report = {name: {side: {"min_ms": min(t), "median_ms": statistics.median(t), "runs_ms": t}
+                     for side, t in by_side.items()} for name, by_side in times.items()}
+    for name, sides in report.items():
+        print(f"cold start {name}: " + ", ".join(
+            f"{side} {r['min_ms']:.0f}/{r['median_ms']:.0f} ms" for side, r in sides.items())
+            + " (min/median)", file=sys.stderr)
+    return report
 
 
 def summarize(values: list[float]) -> dict:
@@ -109,6 +158,8 @@ def main(argv: list[str] | None = None) -> int:
             if (ROOT / rel).is_file():  # a deleted tracked file is still listed
                 (trees["change"] / rel).parent.mkdir(parents=True, exist_ok=True)
                 shutil.copy2(ROOT / rel, trees["change"] / rel)
+        (Path(tmp) / "cold").mkdir()
+        cold = cold_starts(trees, Path(tmp) / "cold")
         for k in range(1, PAIRS + 2):
             # The last pair runs the holdout seed, known once a run has reported it.
             seed = k if k <= PAIRS else runs["parent"][0]["env"]["holdout_seed"]
@@ -153,6 +204,7 @@ def main(argv: list[str] | None = None) -> int:
         "order": "parent first in odd pairs, change first in even pairs",
         "env": {side: runs[side][0]["env"] for side in runs},
         "workloads": workloads,
+        "cold_start": {"runs": COLD_RUNS, "blas_threads": 1, "commands": cold},
         "runs": {side: [{k: v for k, v in r.items() if k != "env"} for r in runs[side]]
                  for side in runs},
     }
