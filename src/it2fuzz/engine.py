@@ -27,12 +27,14 @@ costs about half.
   hi``) and sits in a bounded ``functools.lru_cache``; each engine runs it
   with ``exec`` in its own globals dict.
 
-``EngineConfig.form`` picks one of three closed forms:
+``EngineConfig.form`` picks one of three closed forms, each a weighted
+average of one consequent vector, chosen once when the engine is built
+(the kernel, the batch path and the reference twin all read it):
 
-* ``gc-closed``: band-weighted average, weights upper - lower firing.
-* ``gc-closed-split``: variant with separate upper/lower consequent
-  centers (reduces to ``gc-closed`` when the two centers coincide).
-* ``nt-closed``: sum-weighted average, weights upper + lower firing.
+* ``gc-closed``: each rule's ``b``, weights upper - lower firing.
+* ``gc-closed-split``: every ``b_upper`` then every ``b_lower``, weights
+  upper and -lower firing (``gc-closed`` when the two centers coincide).
+* ``nt-closed``: each rule's ``b``, weights upper + lower firing.
 
 All sums run through ``math.fsum`` so results are exactly rounded; a
 sign-symmetric rule base therefore yields bit-exact odd symmetry.  A gc
@@ -151,13 +153,15 @@ class ClosedFormEngine:
         self._n_inputs = rb.n_inputs
         self._fitted = fitted
         self._ante = tuple(r.antecedent for r in rb.rules)
-        self._cons = tuple(r.consequent for r in rb.rules)
-        # The kernel's clamp; the split form has no hull yet (ROADMAP, Fix first 1).
-        self._hull = ((-math.inf, math.inf) if cfg.form is Form.GC_CLOSED_SPLIT
-                      else (min(self._cons), max(self._cons)))
-        if rb.is_split:
-            self._cons_u = tuple(r.consequent_upper for r in rb.rules)
-            self._cons_l = tuple(r.consequent_lower for r in rb.rules)
+        # The consequents the form reads, in the kernel's order, and its clamp;
+        # the split form has no hull yet (ROADMAP, Fix first 1).
+        if cfg.form is Form.GC_CLOSED_SPLIT:
+            self._cons = (*(r.consequent_upper for r in rb.rules),
+                          *(r.consequent_lower for r in rb.rules))
+            self._hull = (-math.inf, math.inf)
+        else:
+            self._cons = tuple(r.consequent for r in rb.rules)
+            self._hull = (min(self._cons), max(self._cons))
 
     def _compiled(self, form: Form | None):
         """This engine's ``infer`` of ``form``, or its ``fire`` if ``form`` is
@@ -165,8 +169,7 @@ class ClosedFormEngine:
         bounds = [s.bounds(self._fitted) for p in self.rb.partitions for s in p.sets]
         wide = tuple(u[0] < u[1] or l[0] < l[1] for u, l in bounds)
         code, names = _kernel_code(self.rb.shape, self._ante, wide, form)
-        cons = (() if form is None else self._cons_u + self._cons_l
-                if form is Form.GC_CLOSED_SPLIT else self._cons)
+        cons = () if form is None else self._cons
         values = itertools.chain(self._hull, *itertools.chain(*bounds), cons)
         ns = {**_FIXED_GLOBALS, **dict(zip(names, values, strict=True))}
         exec(code, ns)
@@ -258,11 +261,8 @@ def infer_batches(engines: Sequence[ClosedFormEngine],
                 shared[nt] = weights, _row_fsum(weights)
             weights, den = shared[nt]
             ok = den > DEGENERATE_EPSILON
-            if e.cfg.form is Form.GC_CLOSED_SPLIT:
-                terms = np.hstack((np.array(e._cons_u) * ups[ok],
-                                   -np.array(e._cons_l) * los[ok]))
-            else:
-                terms = np.array(e._cons) * weights[ok]
+            split = e.cfg.form is Form.GC_CLOSED_SPLIT  # c * -l is -c * l, bit for bit
+            terms = np.array(e._cons) * (np.hstack((ups[ok], -los[ok])) if split else weights[ok])
             with np.errstate(over="ignore"):  # a split value can reach inf, as in the kernel
                 v = _row_fsum(terms) / den[ok]
             values = np.zeros(len(X))

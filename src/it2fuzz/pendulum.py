@@ -20,8 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import InferenceResult
-
 __all__ = [
     "GRAVITY",
     "ACTUATOR_RATE",
@@ -126,12 +124,13 @@ def controller_step(engine, error: float,
     """
     x1 = _clamp(ERROR_GAIN * error)
     x2 = _clamp(RATE_GAIN * error_rate)
-    result: InferenceResult = engine.infer((x1, x2))
+    result = engine.infer((x1, x2))
     return x1, x2, result.value, FORCE_GAIN * result.value, result.degenerate
 
 
 def simulate(engine, cfg: LoopConfig | None = None) -> SimTrace:
-    """Closed-loop run over floor(duration / step) RK4 steps.
+    """Closed-loop run over floor(duration / step) RK4 steps, a quotient a
+    few ulps short of a whole number (0.043 / 0.001) counting as that number.
 
     The trace has one row per step boundary including t = 0, with the
     controller quantities evaluated at that row's state.  Raises
@@ -139,7 +138,7 @@ def simulate(engine, cfg: LoopConfig | None = None) -> SimTrace:
     passes 1e6 or stops being finite, within a step as well.
     """
     cfg = cfg if cfg is not None else LoopConfig()
-    n_steps = int(math.floor(cfg.duration / cfg.step))
+    n_steps = math.floor(cfg.duration / cfg.step * (1.0 + 2.0 ** -50))
     # One row per step boundary, in the trace CSV's column order: t, angle,
     # velocity, force, x1, x2, u, and the degenerate flag as 0.0 or 1.0.
     rows = np.empty((n_steps + 1, 8))

@@ -7,8 +7,8 @@ weighted sums over the grid.  With singleton-like consequents (width well
 below the center spacing) the two defuzzifiers converge to the matching
 closed forms, which is exactly what the equivalence tests exercise.  A
 twin pair is one ``EngineConfig``: ``ReferenceEngine(rb, cfg)`` checks
-``ClosedFormEngine(rb, cfg)`` and fires through it, so both pipelines
-share one firing step and differ only in what follows it.  A twin
+``ClosedFormEngine(rb, cfg)``, fires through it and reads its consequent
+vector, so both pipelines differ only in what follows the firing.  A twin
 therefore checks the reduction from firing to a crisp value, not the
 firing itself; the loop oracle in ``tests/oracles.py`` checks that.
 There is no twin of ``Form.GC_CLOSED_SPLIT`` yet.
@@ -170,12 +170,11 @@ class ReferenceEngine:
             raise ValueError("the split form has no reference twin")
         ref = ref if ref is not None else RefConfig()
         self._closed = ClosedFormEngine(rb, cfg)
-        centers = [r.consequent for r in rb.rules]
         self.rb = rb
         self.cfg = cfg
         self.ref = ref
-        self._centers = centers
-        self.ys, self._gmat, self._spans, self._last = _output_grid(tuple(centers), ref)
+        self._centers = self._closed._cons
+        self.ys, self._gmat, self._spans, self._last = _output_grid(self._centers, ref)
 
     def curves(self, x: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """Upper and lower output curves at x: firing times consequent rows, summed.

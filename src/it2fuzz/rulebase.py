@@ -239,7 +239,7 @@ def _set_to_dict(s: IT2Gaussian) -> dict:
 
 def _set_from_dict(d: dict) -> IT2Gaussian:
     def num(src: dict, key: str):
-        return _typed(src[key], (int, float), key)
+        return float(_typed(src[key], (int, float), key))
 
     kind = d.get("kind")
     if kind == "uncertain_mean":
@@ -304,7 +304,8 @@ def rulebase_from_dict(d: dict) -> RuleBase:
     an integer, a consequent, set parameter or universe end that is not a
     number, names that are not a list of strings) or a value a
     constructor rejects (a NaN mean, a reversed universe, an unknown set
-    kind) raises RuleBaseInvalid with one ``schema`` violation.
+    kind, an integer beyond the float range) raises RuleBaseInvalid with
+    one ``schema`` violation.
     """
     try:
         partitions = tuple(
@@ -326,7 +327,7 @@ def rulebase_from_dict(d: dict) -> RuleBase:
             for rd in d["rules"]
         )
         return RuleBase(partitions=partitions, rules=rules)
-    except (TypeError, KeyError, AttributeError, ValueError) as exc:
+    except (TypeError, KeyError, AttributeError, ValueError, OverflowError) as exc:
         msg = f"rule data does not fit the schema ({type(exc).__name__}: {exc})"
         raise RuleBaseInvalid((Violation("schema", msg),)) from None
 

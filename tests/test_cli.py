@@ -295,12 +295,20 @@ def _dominated_lmf(d):
     lambda d: _middle_set(d, mean_lo=-math.inf, mean_hi=math.inf),
     lambda d: {**d, "inputs": [{**d["inputs"][0], "sets": []}] + d["inputs"][1:]},
     lambda d: {**d, "inputs": []},
+    # Integers beyond the float range, as JSON allows.
+    lambda d: {**d, "rules": [{**d["rules"][0], "b": 10 ** 400}] + d["rules"][1:]},
+    lambda d: {**d, "inputs": [{**d["inputs"][0], "universe": [-1, 10 ** 400]}]
+               + d["inputs"][1:]},
+    lambda d: _first_set(d, "mean_lo", -10 ** 400),
+    lambda d: _first_set(d, "fitted_umf", {**d["inputs"][0]["sets"][0]["fitted_umf"],
+                                           "sigma": 10 ** 400}),
 )] + [(_dominated_lmf, "fitted_dominance"), (_scaled(1.7e308), "consequent_range")],
     ids=["top_level_list", "scalar_antecedent", "scalar_inputs", "nan_fitted_mean",
          "reversed_universe", "unknown_kind", "float_antecedent", "bool_consequent",
          "string_names", "string_sigma", "bool_fitted_scale", "bool_universe_end",
-         "infinite_sigma", "infinite_means", "no_sets", "no_inputs", "fitted_dominance",
-         "huge_consequents"])
+         "infinite_sigma", "infinite_means", "no_sets", "no_inputs", "huge_int_consequent",
+         "huge_int_universe_end", "huge_int_mean", "huge_int_fitted_sigma",
+         "fitted_dominance", "huge_consequents"])
 def test_surface_rejects_malformed_rule_file(mangle, code, tmp_path, capsys):
     d = rulebase_to_dict(default_rulebase())
     rules = tmp_path / "malformed.json"
@@ -364,14 +372,15 @@ MUTATED_BASES = [rulebase_to_dict(rb) for rb in (RB, split_rulebase(RB))]
 def mutated_rule_files(draw):
     """The demo or split demo as JSON text with one key or list item, at any
     depth, deleted or replaced by a value of another JSON type, or a number
-    replaced by NaN or +-inf (written ``NaN`` and ``1e999``)."""
+    replaced by NaN, +-inf (written ``NaN`` and ``1e999``) or an integer
+    beyond the float range."""
     d = copy.deepcopy(draw(st.sampled_from(MUTATED_BASES)))
     *head, key = draw(st.sampled_from(list(_json_paths(d))))
     parent = functools.reduce(operator.getitem, head, d)
     kind = _json_type(parent[key])
     values = [v for v in JSON_VALUES if _json_type(v) != kind]
     if kind == "number":
-        values += [math.nan, math.inf, -math.inf]
+        values += [math.nan, math.inf, -math.inf, 10 ** 400]
     if draw(st.booleans()):
         del parent[key]
     else:

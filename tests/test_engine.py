@@ -353,6 +353,46 @@ def test_infer_batches_keeps_rule_bases_apart(suffix):
             assert (v.hex(), d) == (r.value.hex(), r.degenerate), (engine.cfg, x)
 
 
+# Each rewrite moves only consequents that the listed tokens do not read;
+# the other tokens read them, so their results move.
+REWRITES = {
+    "b": (lambda r: Rule(r.antecedent, 0.7 - 3.0 * r.consequent,
+                         r.consequent_upper, r.consequent_lower),
+          ("gc-closed-split",), ("gc-closed", "nt-closed", "gc-ref", "nt-ref")),
+    "b_upper-b_lower": (lambda r: Rule(r.antecedent, r.consequent, 0.2 - r.consequent,
+                                       3.0 * r.consequent - 0.4),
+                        ("gc-closed", "nt-closed", "gc-ref", "nt-ref"), ("gc-closed-split",)),
+}
+REWRITE_POINTS = lcg_probes(200) + [(0.0, -0.0), (30.0, -30.0), (math.nan, 0.1),
+                                    (0.3, -math.inf)]
+
+
+@pytest.mark.parametrize("suffix", ["", "-exact"])
+@pytest.mark.parametrize("rewrite", list(REWRITES))
+def test_a_form_reads_only_its_own_consequents(rewrite, suffix):
+    rule, unread, read = REWRITES[rewrite]
+    split = split_rulebase(RB)
+    rewritten = RuleBase(split.partitions, tuple(map(rule, split.rules)))
+
+    def results(token):
+        """Each base's infer, then its infer_batches if it has one, as (hex, flag)."""
+        out = []
+        for rb in (split, rewritten):
+            engine = build_engine(rb, token + suffix)
+            out.append([(r.value.hex(), r.degenerate) for r in map(engine.infer, REWRITE_POINTS)])
+            if isinstance(engine, ClosedFormEngine):
+                values, degenerate = infer_batches([engine], np.array(REWRITE_POINTS))[0]
+                out[-1] += [(v.hex(), d) for v, d in zip(values.tolist(), degenerate.tolist())]
+        return out
+
+    for token in unread:
+        before, after = results(token)
+        assert before == after, token
+    for token in read:
+        before, after = results(token)
+        assert before != after, token
+
+
 def test_infer_batches_fires_one_group_at_a_time(monkeypatch):
     # Three (rule base, bound source) groups, interleaved: each fires once,
     # in the order of its first engine, and no earlier group's firing

@@ -104,6 +104,17 @@ def test_trace_shape_and_time_axis():
     assert not trace.failed
 
 
+# Durations a whole number of steps long whose quotient falls short of it
+# (0.043 / 0.001 is 42.99999999999999), and one half a step past 43 steps.
+@pytest.mark.parametrize("step, duration, steps", [
+    (1e-3, 0.043, 43), (1e-3, 0.051, 51), (1e-3, 0.102, 102),
+    (1e-2, 0.29, 29), (1e-2, 1.16, 116), (1e-3, 0.0435, 43)])
+def test_a_whole_number_of_steps_keeps_its_last_step(step, duration, steps):
+    trace = simulate(ConstantEngine(0.0), LoopConfig(step=step, duration=duration))
+    assert trace.times.size == steps + 1
+    assert trace.times[-1] == pytest.approx(steps * step, abs=1e-12)
+
+
 def test_equilibrium_trace_is_identically_zero():
     trace = simulate(ENGINE, LoopConfig(duration=0.5, initial_angle=0.0))
     assert np.all(trace.angles == 0.0)

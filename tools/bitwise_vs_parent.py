@@ -20,11 +20,12 @@ first on the path, and prints one sha1 per key:
   (split tokens on the split demo) from starts that include ``-0.0``;
 * ``fire/...``, ``infer/...``, ``infer_batch/...``: ``float.hex`` of every
   result on ``lcg_probes(2000)``, signed zeros, infinities and NaN, for
-  the demo, split and collapsed bases and for three bases defined here:
-  a 3-input and a 1-input one (``extra_bases``), whose points are the
-  same probes widened to three inputs or cut to one, and a partly
-  collapsed one (``partly_collapsed_base``), whose regular, upper-average
-  and no-firing rows interleave;
+  the demo, split and collapsed bases and for three bases of the test
+  helpers: ``uneven_rulebase`` (3 inputs) and ``one_input_rulebase``,
+  whose points are the same probes widened to three inputs or cut to
+  one, and ``partly_collapsed_rulebase``, whose regular, upper-average
+  and no-firing rows interleave.  Each side builds them with its own
+  ``tests/helpers.py``, so a parent tree without them cannot be compared;
 * ``kernel/...``: for the same engines, the ``co_code``, ``co_consts``,
   ``co_names`` and ``co_varnames`` of the compiled ``infer`` and ``fire``
   (``_infer`` and ``_fire``), so a change to the generated kernels shows
@@ -113,54 +114,6 @@ def _sha1(data: str | bytes) -> str:
     return hashlib.sha1(data.encode() if isinstance(data, str) else data).hexdigest()
 
 
-def _partition(centers):
-    """Sets alternating uncertain mean and uncertain sigma, fitted by hand."""
-    from it2fuzz import IT2Gaussian, Partition, ScaledGaussian
-
-    sets = []
-    for k, c in enumerate(centers):
-        s = (IT2Gaussian.uncertain_mean(c - 0.1, c + 0.1, 0.3) if k % 2 == 0
-             else IT2Gaussian.uncertain_sigma(c, 0.2, 0.35))
-        sets.append(s.with_fitted(ScaledGaussian(c, 0.4, 1.0),
-                                  ScaledGaussian(c, 0.25, 0.9 - 0.05 * k)))
-    return Partition((-1.0, 1.0), tuple(sets))
-
-
-def extra_bases(points):
-    """A 3-input (2, 3 and 4 sets) and a 1-input base, split consequents,
-    rules out of row-major order, each with ``points`` fitted to its arity.
-
-    Defined here rather than in the test helpers, which the parent tree
-    may not have.
-    """
-    from it2fuzz import Rule, RuleBase
-
-    combos = sorted(itertools.product(range(2), range(3), range(4)),
-                    key=lambda a: (a[2], -a[1], a[0]))
-    three = RuleBase(
-        (_partition((-0.5, 0.5)), _partition((-0.8, 0.0, 0.8)),
-         _partition((-0.9, -0.3, 0.3, 0.9))),
-        tuple(Rule(a, b, b + 0.1, b - 0.2)
-              for a, b in zip(combos, (k / 11.5 - 1.0 for k in range(24)))))
-    one = RuleBase((_partition((-0.7, -0.2, 0.3, 0.8)),),
-                   tuple(Rule((k,), 0.5 - 0.4 * k, 0.6 - 0.4 * k, 0.3 - 0.4 * k)
-                         for k in (3, 2, 1, 0)))
-    return {"three-input": (three, [(a, b, b - a) for a, b in points]),
-            "one-input": (one, [(a,) for x in points for a in x])}
-
-
-def partly_collapsed_base():
-    """The demo's rules, split +-0.1, over fitted uncertain-mean sets
-    (-1.05, -0.95), (0, 0) and (0.95, 1.05) at sigma 0.05 on both inputs."""
-    from helpers import demo_like_rulebase, split_rulebase
-    from it2fuzz import IT2Gaussian, Partition, RuleBase
-
-    p = Partition((-1.0, 1.0), tuple(
-        IT2Gaussian.uncertain_mean(lo, hi, 0.05).fit()
-        for lo, hi in ((-1.05, -0.95), (0.0, 0.0), (0.95, 1.05))))
-    return split_rulebase(RuleBase((p, p), demo_like_rulebase().rules))
-
-
 def design_base(layout, dmu, sigma):
     """The rule base a perfbench ``design`` op builds, as ``DesignWorkload.run``
     does: one uncertain-mean FOU fitted at 0 and moved to each set's center."""
@@ -212,7 +165,8 @@ def rowsum_edge_matrices():
 def dump() -> dict[str, str]:
     """Keyed sha1s of this process's ``it2fuzz`` outputs (see the module doc)."""
     import numpy as np
-    from helpers import collapsed_rulebase, split_rulebase
+    from helpers import (collapsed_rulebase, one_input_rulebase, partly_collapsed_rulebase,
+                         split_rulebase, uneven_rulebase)
     from it2fuzz import cli, pendulum
     from it2fuzz import engine as engine_mod
     from it2fuzz.engine import infer_batches
@@ -222,7 +176,7 @@ def dump() -> dict[str, str]:
 
     demo = default_rulebase()
     bases = {"demo": demo, "split": split_rulebase(demo), "collapsed": collapsed_rulebase(),
-             "partly-collapsed": partly_collapsed_base()}
+             "partly-collapsed": partly_collapsed_rulebase()}
     out: dict[str, str] = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -302,7 +256,8 @@ def dump() -> dict[str, str]:
 
     points = cli.lcg_probes(2000) + list(SPECIAL_POINTS)
     cases = {base: (rb, points) for base, rb in bases.items()}
-    cases.update(extra_bases(points))
+    cases["three-input"] = uneven_rulebase(), [(a, b, b - a) for a, b in points]
+    cases["one-input"] = one_input_rulebase(), [(a,) for x in points for a in x]
     for base, (rb, xs) in cases.items():
         tokens = [t for t in CLOSED_TOKENS if rb.is_split or "split" not in t]
         if base == "collapsed":
