@@ -77,9 +77,11 @@ def parse_engine_mode(token: str) -> tuple[EngineConfig, bool]:
 
 def _engine_tokens(text: str) -> tuple[str, ...]:
     """The tokens of a comma-separated ``--engine`` value, stripped once so
-    that headers and report keys name the engine that is built; each may
-    appear once, as it names one column or report key."""
+    that headers and report keys name the engine that is built; each must
+    name a mode and may appear once, as it names one column or report key."""
     tokens = tuple(tok.strip() for tok in text.split(","))
+    for tok in tokens:
+        parse_engine_mode(tok)
     twice = sorted({tok for tok in tokens if tokens.count(tok) > 1})
     if twice:
         raise CliError(f"engine listed more than once: {', '.join(map(repr, twice))}")

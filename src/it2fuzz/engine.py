@@ -143,8 +143,7 @@ class ClosedFormEngine:
         if cfg.form is Form.GC_CLOSED_SPLIT and not rb.is_split:
             raise ValueError("split form needs split consequents on every rule")
         fitted = cfg.bound_source is BoundSource.FITTED
-        if fitted and any(s.fitted_umf is None or s.fitted_lmf is None
-                          for p in rb.partitions for s in p.sets):
+        if fitted and any(s.fitted_umf is None for p in rb.partitions for s in p.sets):
             raise ValueError(
                 "fitted bounds requested but not attached; call IT2Gaussian.fit() first"
             )

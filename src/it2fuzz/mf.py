@@ -79,8 +79,8 @@ class IT2Gaussian:
     Which family a set is follows from the intervals (see the module doc).
     Build one with ``uncertain_mean`` / ``uncertain_sigma``.  ``fitted_umf`` /
     ``fitted_lmf`` hold optional scaled-Gaussian stand-ins for the exact
-    bounds; attach them with :meth:`with_fitted` or :meth:`fit`.  Means must
-    be finite and sigmas positive and finite.
+    bounds, both or neither; attach them with :meth:`with_fitted` or
+    :meth:`fit`.  Means must be finite and sigmas positive and finite.
     """
 
     mean_lo: float
@@ -99,6 +99,8 @@ class IT2Gaussian:
             raise ValueError("sigmas must satisfy 0 < sigma_lo <= sigma_hi < inf")
         if self.mean_lo != self.mean_hi and self.sigma_lo != self.sigma_hi:
             raise ValueError("a set has an uncertain mean or an uncertain sigma, not both")
+        if (self.fitted_umf is None) != (self.fitted_lmf is None):
+            raise ValueError("fitted bounds must come in pairs")
 
     @classmethod
     def uncertain_mean(cls, mean_lo: float, mean_hi: float, sigma: float) -> "IT2Gaussian":
@@ -255,10 +257,7 @@ def fit_bounds(
 
     xs = np.linspace(lo, hi, int(samples))
     center = m.center
-    with np.errstate(over="ignore"):
-        dx2 = (xs - center) ** 2
-    if not np.all(np.isfinite(dx2)):
-        raise ValueError("squared distances from the FOU center must be finite")
+    dx2 = (xs - center) ** 2  # finite with hi_sq: |xs - center| <= hi - lo <= sig_hi
     u_target = m.umf_samples(xs)
     l_target = m.lmf_samples(xs)
 

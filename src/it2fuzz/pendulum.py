@@ -187,10 +187,10 @@ def settle_time(trace: SimTrace) -> float | None:
     """First trace time after which |angle| stays below SETTLE_THRESHOLD.
 
     Returns 0.0 if the whole trace is below the threshold and None if
-    the final sample is not.
+    the final sample is not, or if the trace is empty and has none.
     """
     above = np.abs(trace.angles) >= SETTLE_THRESHOLD
-    if above[-1]:
+    if above.size == 0 or above[-1]:
         return None
     idx = np.nonzero(above)[0]
     if idx.size == 0:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -164,13 +164,15 @@ class RuleBase:
                 ))
             else:
                 seen[ant] = pos
-        if addressable:
-            for combo in itertools.product(*(range(n) for n in shape)):
-                if combo not in seen:
-                    out.append(Violation(
-                        "missing_antecedent",
-                        f"incomplete rule base: missing {self._combo_label(combo)}",
-                    ))
+        missing = math.prod(shape) - len(seen)
+        if addressable and missing:
+            # The first gap lies within the first len(seen) + 1 combinations.
+            combo = next(c for c in itertools.product(*map(range, shape)) if c not in seen)
+            more = f" and {missing - 1} more" if missing > 1 else ""
+            out.append(Violation(
+                "missing_antecedent",
+                f"incomplete rule base: missing {self._combo_label(combo)}{more}",
+            ))
         split_flags = {r.is_split for r in self.rules}
         if len(split_flags) > 1:
             out.append(Violation(
@@ -188,9 +190,7 @@ class RuleBase:
         for k, p in enumerate(self.partitions):
             for j, s in enumerate(p.sets):
                 umf, lmf = s.fitted_umf, s.fitted_lmf
-                if umf is None or lmf is None:
-                    continue
-                if not lower_within_upper(umf, lmf):
+                if umf is not None and not lower_within_upper(umf, lmf):
                     where = f"set {p.label(j)} of input {k}"
                     out.append(Violation("fitted_dominance",
                                          f"{where} has its fitted lower bound above the upper"))
@@ -248,15 +248,9 @@ def _set_from_dict(d: dict) -> IT2Gaussian:
         s = IT2Gaussian.uncertain_sigma(num(d, "mean"), num(d, "sigma_lo"), num(d, "sigma_hi"))
     else:
         raise ValueError(f"unknown set kind {kind!r}")
-    fu, fl = d.get("fitted_umf"), d.get("fitted_lmf")
-    if (fu is None) != (fl is None):
-        raise ValueError("fitted bounds must come in pairs")
-    if fu is not None:
-        s = s.with_fitted(
-            ScaledGaussian(num(fu, "mean"), num(fu, "sigma"), num(fu, "scale")),
-            ScaledGaussian(num(fl, "mean"), num(fl, "sigma"), num(fl, "scale")),
-        )
-    return s
+    fitted = {key: ScaledGaussian(num(g, "mean"), num(g, "sigma"), num(g, "scale"))
+              for key in ("fitted_umf", "fitted_lmf") if (g := d.get(key)) is not None}
+    return replace(s, **fitted)  # the constructor rejects half a pair
 
 
 def rulebase_to_dict(rb: RuleBase) -> dict:
@@ -303,9 +297,9 @@ def rulebase_from_dict(d: dict) -> RuleBase:
     object belongs), of the wrong type (an antecedent index that is not
     an integer, a consequent, set parameter or universe end that is not a
     number, names that are not a list of strings) or a value a
-    constructor rejects (a NaN mean, a reversed universe, an unknown set
-    kind, an integer beyond the float range) raises RuleBaseInvalid with
-    one ``schema`` violation.
+    constructor rejects (a NaN mean, half a fitted pair, a reversed
+    universe, an unknown set kind, an integer beyond the float range)
+    raises RuleBaseInvalid with one ``schema`` violation.
     """
     try:
         partitions = tuple(

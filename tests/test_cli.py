@@ -221,10 +221,12 @@ def test_surface_strips_engine_tokens(tmp_path):
 
 
 def test_surface_rejects_bad_engine(tmp_path, capsys):
-    rc = main(["surface", "--engine", "warp-drive", "--out",
-               str(tmp_path / "x.csv")])
-    assert rc == 2
-    assert "unknown engine mode" in capsys.readouterr().err
+    # an empty or unknown token is reported as such, even when it repeats
+    for engines in ("warp-drive", ",", "warp-drive,warp-drive"):
+        rc = main(["surface", "--engine", engines, "--out",
+                   str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "unknown engine mode" in capsys.readouterr().err, engines
 
 
 @pytest.mark.parametrize("argv", [
@@ -249,6 +251,22 @@ def test_surface_rejects_invalid_rules(tmp_path, capsys):
                str(tmp_path / "x.csv")])
     assert rc == 2
     assert "[missing_antecedent]" in capsys.readouterr().err
+
+
+def test_sparse_rule_file_reports_one_missing_antecedent(tmp_path, capsys):
+    # 300 x 300 combinations and one rule: one violation with a count, not
+    # one line for each of the 89,999 gaps
+    sets = [{"kind": "uncertain_sigma", "mean": k / 300, "sigma_lo": 0.1, "sigma_hi": 0.2}
+            for k in range(300)]
+    d = {"inputs": [{"universe": [0.0, 1.0], "sets": sets}] * 2,
+         "rules": [{"if": [0, 0], "b": 0.0}]}
+    rules = tmp_path / "sparse.json"
+    rules.write_text(json.dumps(d))
+    rc = main(["surface", "--rules", str(rules), "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("[missing_antecedent]") == 1 and "and 89998 more" in err
+    assert len(err.encode()) < 1024
 
 
 def _first_set(d, key, value):

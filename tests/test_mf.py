@@ -100,6 +100,10 @@ def test_fou_constructor_validation():
                 lambda: IT2Gaussian.uncertain_sigma(0.0, 0.2, math.inf)):
         with pytest.raises(ValueError, match="finite|inf"):
             bad()
+    g = ScaledGaussian(0.0, 0.4)
+    for half in ({"fitted_umf": g}, {"fitted_lmf": g}):
+        with pytest.raises(ValueError, match="pairs"):
+            IT2Gaussian(-0.1, 0.1, 0.4, 0.4, **half)
 
 
 def test_umf_plateau_and_shoulders():
@@ -296,6 +300,18 @@ def test_fit_window_validation():
         fit_bounds(m, samples=50)
     with pytest.raises(ValueError, match="must be finite"):
         fit_bounds(m, window=(-1.0, math.inf))
+
+
+def test_widest_fit_window_runs_without_overflow():
+    # Every |x - center| on the window is at most the largest search sigma,
+    # so the guard on that sigma's square alone keeps the fit finite: the
+    # widest window it admits fits with overflow trapped, a wider one is
+    # refused.
+    m = IT2Gaussian.uncertain_mean(-1, 1, 1.0)
+    with np.errstate(over="raise", invalid="raise"):
+        fit_bounds(m, window=(-6.6e153, 6.6e153), samples=101)
+    with pytest.raises(ValueError, match="largest search sigma"):
+        fit_bounds(m, window=(-6.8e153, 6.8e153), samples=101)
 
 
 @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])

@@ -151,6 +151,11 @@ def test_settle_time_semantics():
     # first time after the last sample at or above threshold
     assert settle_time(trace_with([0.5, 0.02, 0.005, 0.001])) == 2.0
     assert settle_time(trace_with([0.5, 0.02, 0.005, 0.02, 0.001])) == 4.0
+    # a start beyond the sane range fails before the t = 0 row is recorded
+    with pytest.raises(NumericalBlowup) as exc:
+        simulate(ENGINE, LoopConfig(initial_angle=1e300))
+    assert exc.value.trace.times.size == 0
+    assert settle_time(exc.value.trace) is None
 
 
 def test_rk4_convergence_is_fourth_order():

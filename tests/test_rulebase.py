@@ -83,6 +83,15 @@ def test_missing_rule_reported_by_label():
     assert exc.value.violations == tuple(violations)
 
 
+def test_missing_rules_reported_once_with_a_count():
+    rb = default_rulebase()
+    trimmed = RuleBase(rb.partitions,
+                       tuple(r for r in rb.rules if r.antecedent not in ((0, 2), (1, 1))))
+    violations = trimmed.validate()
+    assert [v.code for v in violations] == ["missing_antecedent"]
+    assert violations[0].message == "incomplete rule base: missing (N,P) and 1 more"
+
+
 def test_out_of_range_antecedent_reported():
     rb = default_rulebase()
     bad = RuleBase(rb.partitions, rb.rules[:-1] + (Rule((3, 0), -1.0),))
@@ -234,6 +243,14 @@ def test_fitted_bounds_must_come_in_pairs():
     del d["inputs"][0]["sets"][0]["fitted_lmf"]
     with pytest.raises(ValueError, match="pairs"):
         rulebase_from_dict(d)
+
+
+def test_fitted_upper_bound_alone_is_a_schema_violation():
+    d = rulebase_to_dict(default_rulebase())
+    del d["inputs"][0]["sets"][0]["fitted_umf"]
+    with pytest.raises(RuleBaseInvalid, match="pairs") as exc:
+        rulebase_from_dict(d)
+    assert [v.code for v in exc.value.violations] == ["schema"]
 
 
 def test_unknown_set_kind_rejected():

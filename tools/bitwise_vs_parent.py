@@ -11,11 +11,11 @@ first on the path, and prints one sha1 per key:
 
 * ``surface/...``: the bytes of ``generate_surface`` CSVs over perfbench's
   split surface rule base for seeds 1, 2, 3 and 7919 at grids 17 and 41
-  with all six closed-form tokens, the demo with its four closed-form
-  tokens and ``gc-ref``, the collapsed base with both exact tokens, and
-  the partly collapsed base below with all six; and the demo at grid 2 and
-  over the asymmetric range (-0.3, 0.9), two reference columns among
-  three closed ones;
+  with all six closed-form tokens (the test helpers' ``CLOSED_TOKENS``),
+  the demo with its four closed-form tokens and ``gc-ref``, the
+  collapsed base with both exact tokens, and the partly collapsed base
+  below with all six; and the demo at grid 2 and over the asymmetric
+  range (-0.3, 0.9), two reference columns among three closed ones;
 * ``trace/...``: pendulum trace CSV bytes for the six closed-form tokens
   (split tokens on the split demo) from starts that include ``-0.0``;
 * ``fire/...``, ``infer/...``, ``infer_batch/...``: ``float.hex`` of every
@@ -87,8 +87,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-CLOSED_TOKENS = ("gc-closed", "gc-closed-split", "nt-closed",
-                 "gc-closed-exact", "gc-closed-split-exact", "nt-closed-exact")
 SURFACE_SEEDS = (1, 2, 3, 7919)
 TRACE_STARTS = ((0.1, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, 0.4), (-0.25, -0.3))
 SPECIAL_POINTS = ((0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (30.0, -30.0),
@@ -165,8 +163,8 @@ def rowsum_edge_matrices():
 def dump() -> dict[str, str]:
     """Keyed sha1s of this process's ``it2fuzz`` outputs (see the module doc)."""
     import numpy as np
-    from helpers import (collapsed_rulebase, one_input_rulebase, partly_collapsed_rulebase,
-                         split_rulebase, uneven_rulebase)
+    from helpers import (CLOSED_TOKENS, collapsed_rulebase, one_input_rulebase,
+                         partly_collapsed_rulebase, split_rulebase, uneven_rulebase)
     from it2fuzz import cli, pendulum
     from it2fuzz import engine as engine_mod
     from it2fuzz.engine import infer_batches
