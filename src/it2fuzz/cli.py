@@ -24,6 +24,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -305,12 +306,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 # -- wiring ---------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes every float literal with a leading
+    minus (-1e-3, -inf, -nan) for a value.  argparse's own test takes -1 and
+    -1.5 for numbers but reads -1e-3 and -inf as options."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="it2fuzz",
         description="Closed-form interval type-2 fuzzy inference workbench",
     )
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("surface", help="export a control surface as CSV")
     p.add_argument("--grid", type=int, default=41, help="points per axis (default 41)")

@@ -35,12 +35,7 @@ __all__ = [
     "FitDominanceViolated",
 ]
 
-# 1/phi, the golden-section step ratio.
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# Steps of every golden-section search: 1/phi**67 < 1e-14, so the final
-# bracket is narrower than 1e-14 of the searched interval.
-_GOLDEN_STEPS = 67
-
+_EPS = float(np.finfo(float).eps)
 
 class FitDominanceViolated(ValueError):
     """Fitted lower bound exceeds the fitted upper bound somewhere."""
@@ -191,26 +186,36 @@ def lower_within_upper(umf: ScaledGaussian, lmf: ScaledGaussian) -> bool:
     return gap * gap <= 2.0 * spread * (math.log(umf.scale) - math.log(lmf.scale))
 
 
-def _golden_min(f, lo: float, hi: float) -> float:
-    """Golden-section minimum of a unimodal function on [lo, hi].
+def _newton_min(derivs, lo: float, hi: float, t: float) -> float:
+    """Minimum on [lo, hi] by safeguarded Newton steps from t, lo < t < hi.
 
-    Runs ``_GOLDEN_STEPS`` steps and returns the midpoint of the final
-    bracket, so the result lies within 1e-14 * (hi - lo) of the minimum.
+    ``derivs(t)`` returns the first and second derivative at t, both scaled
+    by one positive factor.  The first one's sign moves an end of the
+    bracket to t; a step that leaves the bracket, or a second derivative
+    not above 0, gives way to bisection.  Stops where the derivative is 0,
+    where the Newton step is below a few ulps of t (tested first, so that a
+    converged step that rounds onto an end stops there), or where the
+    bracket itself is that narrow.
     """
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(_GOLDEN_STEPS):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
+    while True:
+        d1, d2 = derivs(t)
+        if d1 == 0.0:
+            return t
+        if d1 > 0.0:
+            hi = t
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+            lo = t
+        tol = 4.0 * _EPS * max(1.0, abs(t))
+        if d2 > 0.0:
+            step = d1 / d2
+            if abs(step) <= tol:
+                return t
+            if lo < t - step < hi:
+                t -= step
+                continue
+        if hi - lo <= tol:
+            return t
+        t = 0.5 * (lo + hi)
 
 
 def fit_bounds(
@@ -221,11 +226,12 @@ def fit_bounds(
     """Least-squares scaled-Gaussian stand-ins for the exact FOU bounds.
 
     Both fits keep the mean pinned at the FOU center and make one
-    golden-section search over sigma each.  The upper fit keeps scale = 1;
-    the lower fit uses variable projection: at each sigma its scale is the
-    closed-form least-squares one, so the search runs over sigma alone.
-    A search result that does not clearly beat the exact bound's sigma
-    gives way to it.
+    safeguarded Newton search each, in t = ln(sigma) over [ln sig_lo,
+    ln sig_hi], from the exact bound's sigma.  The upper fit keeps scale =
+    1; the lower fit uses variable projection: at each sigma its scale is
+    the closed-form least-squares one, clamped to [1e-12, 1], so the search
+    runs over sigma alone.  A search result that does not clearly beat the
+    exact bound's sigma gives way to it.
 
     Returns (fitted_umf, fitted_lmf).  Raises FitDominanceViolated unless
     ``lower_within_upper`` holds, the exact check validation uses.
@@ -264,15 +270,36 @@ def fit_bounds(
     def curve(sigma: float) -> np.ndarray:
         return np.exp(dx2 * (-0.5 / (sigma * sigma)))
 
+    def sigma_at(t: float) -> float:
+        return min(max(math.exp(t), sig_lo), sig_hi)
+
+    # The curve g = exp(-h), h = dx2 / (2 sigma^2), and its derivatives in t,
+    # g_t = 2 h g and g_tt = 4 h g (h - 1).  Past h = 750 g is 0.0 anyway, and
+    # h held there keeps h * g from being inf * 0.
+    def curve_terms(t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        sigma = sigma_at(t)
+        h = np.minimum(dx2 * (0.5 / (sigma * sigma)), 750.0)
+        g = np.exp(-h)
+        g_t = 2.0 * h * g
+        return g, g_t, 2.0 * g_t * (h - 1.0)
+
     def improves(cand_val: float, cur_val: float) -> bool:
         # Within the float noise floor the objective is flat and a
         # bracketing search just wanders; only clear improvements count,
         # which gives every search below an exact resting point.
-        return cand_val < cur_val - 4.0 * np.finfo(float).eps * (1.0 + cur_val)
+        return cand_val < cur_val - 4.0 * _EPS * (1.0 + cur_val)
 
-    def best_sigma(objective, baseline: float) -> float:
-        cand = _golden_min(objective, sig_lo, sig_hi)
+    def best_sigma(derivs, objective, baseline: float) -> float:
+        cand = sigma_at(_newton_min(derivs, math.log(sig_lo), math.log(sig_hi),
+                                    math.log(baseline)))
         return cand if improves(objective(cand), objective(baseline)) else baseline
+
+    # Half of S = |u - g|^2's derivatives: S_t = -2 r.g_t and
+    # S_tt = 2 (g_t.g_t - r.g_tt), with r = u - g.
+    def upper_derivs(t: float) -> tuple[float, float]:
+        g, g_t, g_tt = curve_terms(t)
+        r = u_target - g
+        return -float(np.dot(r, g_t)), float(np.dot(g_t, g_t)) - float(np.dot(r, g_tt))
 
     def upper_sse(sigma: float) -> float:
         r = u_target - curve(sigma)
@@ -287,13 +314,29 @@ def fit_bounds(
             return 1e-12
         return min(max(float(np.dot(l_target, g)) / gg, 1e-12), 1.0)
 
+    # Half of S(t) = min over c of |l - c g|^2's derivatives.  By the
+    # envelope theorem S_t = -2 c r.g_t, r = l - c g, as if c were fixed.
+    # S_tt is the fixed-c one, 2 (c^2 g_t.g_t - c r.g_tt), less the part
+    # c's own move takes back, S_ct^2 / S_cc with S_ct = 2 (c g.g_t - r.g_t)
+    # and S_cc = 2 g.g, where c is not clamped.
+    def lower_derivs(t: float) -> tuple[float, float]:
+        g, g_t, g_tt = curve_terms(t)
+        c = opt_scale(g)
+        r = l_target - c * g
+        r_t = float(np.dot(r, g_t))
+        d2 = c * (c * float(np.dot(g_t, g_t)) - float(np.dot(r, g_tt)))
+        if 1e-12 < c < 1.0:  # not clamped, so g.g > 0
+            d2 -= (c * float(np.dot(g, g_t)) - r_t) ** 2 / float(np.dot(g, g))
+        return -c * r_t, d2
+
     def lower_sse(sigma: float) -> float:
         g = curve(sigma)
         r = l_target - opt_scale(g) * g
         return float(np.dot(r, r))
 
-    fitted_umf = ScaledGaussian(center, best_sigma(upper_sse, float(m.sigma_hi)), 1.0)
-    sigma = best_sigma(lower_sse, float(m.sigma_lo))
+    fitted_umf = ScaledGaussian(center, best_sigma(upper_derivs, upper_sse,
+                                                   float(m.sigma_hi)), 1.0)
+    sigma = best_sigma(lower_derivs, lower_sse, float(m.sigma_lo))
     fitted_lmf = ScaledGaussian(center, sigma, opt_scale(curve(sigma)))
 
     if not lower_within_upper(fitted_umf, fitted_lmf):

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from it2fuzz import (BoundSource, ClosedFormEngine, EngineConfig, Form, ReferenceEngine,
-                     Rule, RuleBase, default_rulebase, dump_rulebase, rulebase_to_dict)
+from it2fuzz import (BoundSource, ClosedFormEngine, EngineConfig, Form, IT2Gaussian,
+                     ReferenceEngine, Rule, RuleBase, default_rulebase, dump_rulebase,
+                     fit_bounds, rulebase_to_dict)
 from it2fuzz import cli, engine as engine_mod
 from it2fuzz.cli import (CliError, SurfaceSpec, generate_surface, lcg_probes,
                          main, parse_engine_mode, run_bench)
@@ -487,6 +488,15 @@ def test_pendulum_outputs_and_summary(tmp_path):
     assert abs(summary["final_angle_rad"]) < 0.01
 
 
+def test_pendulum_takes_a_negative_angle_in_scientific_notation(tmp_path):
+    # argparse alone reads -1e-1 as an unknown option.
+    prefix = tmp_path / "neg"
+    assert main(["pendulum", "--angle0", "-1e-1", "--duration", "0.01",
+                 "--out", str(prefix)]) == 0
+    first = (tmp_path / "neg_trace.csv").read_text().splitlines()[1].split(",")
+    assert float(first[1]) == -0.1
+
+
 def test_pendulum_rejects_big_step(tmp_path, capsys):
     rc = main(["pendulum", "--step", "0.05", "--out", str(tmp_path / "r")])
     assert rc == 2
@@ -575,10 +585,24 @@ def test_fit_command_underflowing_lower_target(argv, tmp_path, capsys):
     ["fit", "--dmu", "1e-156", "--sigma", "1e-155"],
     ["fit", "--dmu", "1e299", "--sigma", "1e300"],
     ["fit", "--dmu", "0.1", "--sigma", "0.418", "--window", "-1", "inf"],
+    # argparse alone takes these negative values for options
+    ["fit", "--dmu", "0.1", "--sigma", "-1e-3"],
+    ["fit", "--dmu", "-1E-2", "--sigma", "0.418"],
+    ["fit", "--dmu", "0.1", "--sigma", "0.418", "--window", "-inf", "1"],
 ])
 def test_fit_command_rejects_bad_params(argv, capsys):
     assert main(argv) == 2
     assert "must be" in capsys.readouterr().err
+
+
+def test_fit_command_takes_a_negative_window_in_scientific_notation(tmp_path):
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--dmu", "0.1", "--sigma", "0.4", "--window", "-1.5e0", "1.5",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    umf, lmf = fit_bounds(IT2Gaussian.uncertain_mean(-0.1, 0.1, 0.4), window=(-1.5, 1.5))
+    assert (report["umf"]["sigma"], report["lmf"]["sigma"], report["lmf"]["scale"]) == (
+        umf.sigma, lmf.sigma, lmf.scale)
 
 
 # Each run asks for float64 arrays of `rows` entries, more than 2**60 bytes

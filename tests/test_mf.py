@@ -21,7 +21,8 @@ from it2fuzz import (
     fit_bounds,
 )
 from it2fuzz.cli import lcg_probes
-from it2fuzz.mf import _golden_min, lower_within_upper
+from it2fuzz import mf
+from it2fuzz.mf import _newton_min, lower_within_upper
 
 import oracles
 from oracles import (
@@ -270,13 +271,19 @@ def test_fit_degenerate_spread_returns_base_gaussian():
     assert u.scale == 1.0
 
 
-@pytest.mark.parametrize("sigma", [1e-10, 1e-13, 1e-100, 1e3, 1e6, 1e100])
+SCALE_FREE_SIGMAS = [1e-10, 1e-13, 1e-100, 1e-120, 1e-150, 1e3, 1e6, 1e100, 1e150]
+
+
+# The family spans the sigma guards' reach: the search runs in ln(sigma), so
+# no power of sigma under- or overflows, trapped or silently.
+@pytest.mark.parametrize("sigma", SCALE_FREE_SIGMAS)
 def test_fit_is_scale_free(sigma):
     def ratios(s):
         u, l = fit_bounds(fou(0.25 * s, s))
         return u.sigma / s, l.sigma / s, l.scale
 
-    assert ratios(sigma) == pytest.approx(ratios(1.0), rel=0.0, abs=1e-6)
+    with np.errstate(all="raise"):
+        assert ratios(sigma) == pytest.approx(ratios(1.0), rel=0.0, abs=1e-6)
 
 
 def test_fit_with_lower_target_zero_on_grid():
@@ -314,16 +321,54 @@ def test_widest_fit_window_runs_without_overflow():
         fit_bounds(m, window=(-6.8e153, 6.8e153), samples=101)
 
 
+def traced(derivs):
+    """derivs, recording each t it is called at."""
+    def wrapped(t):
+        wrapped.ts.append(t)
+        return derivs(t)
+    wrapped.ts = []
+    return wrapped
+
+
 @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
-def test_golden_min_brackets_the_minimum_to_1e14(scale):
-    # The fixed step count alone must shrink the bracket below 1e-14 of the
-    # searched interval, at any scale and wherever the minimum lies in it,
-    # ends included.
-    lo, hi = 0.01 * scale, 3.0 * scale
-    for k in range(7):
-        target = lo + k / 6 * (hi - lo)
-        for f in (lambda s: (s - target) ** 2, lambda s: abs(s - target)):
-            assert abs(_golden_min(f, lo, hi) - target) <= 1e-14 * (hi - lo)
+def test_newton_min_reaches_every_branch(scale):
+    # In t = ln(sigma) over the bracket a fit searches at this sigma scale.
+    lo, hi = math.log(0.01 * scale), math.log(3.0 * scale)
+    tol = 4.0 * np.finfo(float).eps * max(1.0, abs(lo), abs(hi))
+
+    # Newton steps: a quadratic's first step lands on its minimum, and
+    # cosh(t - c)'s steps converge from any start, wherever c lies.
+    for k in range(1, 6):
+        c = lo + k / 6 * (hi - lo)
+        quad = traced(lambda t: (2.0 * (t - c), 2.0))
+        assert abs(_newton_min(quad, lo, hi, lo + 0.1) - c) <= 2.0 * tol
+        assert len(quad.ts) == 2
+        cosh = traced(lambda t: (math.sinh(t - c), math.cosh(t - c)))
+        assert abs(_newton_min(cosh, lo, hi, hi - 0.1) - c) <= 2.0 * tol
+        assert len(cosh.ts) <= 10
+
+    # A second derivative not above 0 bisects: -exp(-(t - c)^2 / 2) is
+    # concave more than one from c, so the first step goes to the middle
+    # of [start, hi], and Newton then takes over.
+    c = hi - 0.5
+    well = traced(lambda t: ((t - c) * math.exp(-0.5 * (t - c) ** 2),
+                             (1.0 - (t - c) ** 2) * math.exp(-0.5 * (t - c) ** 2)))
+    assert abs(_newton_min(well, lo, hi, lo + 0.5) - c) <= 2.0 * tol
+    assert well.ts[1] == 0.5 * (lo + 0.5 + hi)
+    assert len(well.ts) <= 12
+
+    # A minimum at either end: a step past it and a flat second derivative
+    # both bisect, until the bracket is a few ulps wide at that end.
+    mid = 0.5 * (lo + hi)
+    for end, derivs in ((hi, lambda t: (2.0 * (t - hi - 1.0), 2.0)),
+                        (lo, lambda t: (1.0, 0.0)),
+                        (lo, lambda t: (2.0 * (t - lo + 1.0), 2.0)),
+                        (hi, lambda t: (-1.0, -1.0))):
+        assert abs(_newton_min(derivs, lo, hi, mid) - end) <= tol
+
+    # A derivative exactly 0 at the start stops there, after one call.
+    flat = traced(lambda t: (0.0, -1.0))
+    assert _newton_min(flat, lo, hi, mid) == mid and flat.ts == [mid]
 
 
 LOWER_FIT_FOUS = ([fou(k / 100) for k in range(21)]
@@ -340,6 +385,32 @@ def test_lower_fit_matches_alternating_oracle(m):
     eps = np.finfo(float).eps
     assert oracles.lower_fit_sse(m, l.sigma, l.scale) <= want + 4.0 * eps * (1.0 + want)
     assert l.sigma == pytest.approx(sigma, rel=1e-7, abs=0.0)
+
+
+DESIGN_FOUS = [fou(dmu, sigma) for dmu in (0.05, 0.1, 0.15, 0.2) for sigma in (0.3, 0.4, 0.5)]
+UNCERTAIN_SIGMA_FOUS = [IT2Gaussian.uncertain_sigma(c, sigma * (1.0 - k / 10), sigma)
+                        for c in (-0.5, 0.0, 1.0) for sigma in (0.1, 0.418, 1.0)
+                        for k in range(7)]
+
+
+def test_fit_searches_take_few_steps(monkeypatch):
+    # Newton from the exact bound's sigma converges in a few steps on every
+    # family; a stop rule that fell back to bisection would take ~50.
+    steps = []
+
+    def counted(derivs, lo, hi, t):
+        wrapped = traced(derivs)
+        t = _newton_min(wrapped, lo, hi, t)
+        steps.append(len(wrapped.ts))
+        return t
+
+    monkeypatch.setattr(mf, "_newton_min", counted)
+    fous = (DESIGN_FOUS + LOWER_FIT_FOUS + UNCERTAIN_SIGMA_FOUS
+            + [fou(0.25 * s, s) for s in SCALE_FREE_SIGMAS])
+    for m in fous:
+        fit_bounds(m)
+    assert len(steps) == 2 * len(fous)
+    assert max(steps) <= 9
 
 
 def test_fit_attaches_both_bounds():
