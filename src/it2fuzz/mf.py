@@ -186,21 +186,23 @@ def lower_within_upper(umf: ScaledGaussian, lmf: ScaledGaussian) -> bool:
     return gap * gap <= 2.0 * spread * (math.log(umf.scale) - math.log(lmf.scale))
 
 
-def _newton_min(derivs, lo: float, hi: float, t: float) -> float:
+def _newton_min(derivs, lo: float, hi: float, t: float):
     """Minimum on [lo, hi] by safeguarded Newton steps from t, lo < t < hi.
 
     ``derivs(t)`` returns the first and second derivative at t, both scaled
-    by one positive factor.  The first one's sign moves an end of the
-    bracket to t; a step that leaves the bracket, or a second derivative
-    not above 0, gives way to bisection.  Stops where the derivative is 0,
-    where the Newton step is below a few ulps of t (tested first, so that a
-    converged step that rounds onto an end stops there), or where the
-    bracket itself is that narrow.
+    by one positive factor, and a payload; the search returns the payload
+    of its last call, which is at the t it stops at.  The first
+    derivative's sign moves an end of the bracket to t; a step that leaves
+    the bracket, or a second derivative not above 0, gives way to
+    bisection.  Stops where the derivative is 0, where the Newton step is
+    below a few ulps of t (tested first, so that a converged step that
+    rounds onto an end stops there), or where the bracket itself is that
+    narrow.
     """
     while True:
-        d1, d2 = derivs(t)
+        d1, d2, payload = derivs(t)
         if d1 == 0.0:
-            return t
+            return payload
         if d1 > 0.0:
             hi = t
         else:
@@ -209,12 +211,12 @@ def _newton_min(derivs, lo: float, hi: float, t: float) -> float:
         if d2 > 0.0:
             step = d1 / d2
             if abs(step) <= tol:
-                return t
+                return payload
             if lo < t - step < hi:
                 t -= step
                 continue
         if hi - lo <= tol:
-            return t
+            return payload
         t = 0.5 * (lo + hi)
 
 
@@ -225,12 +227,13 @@ def fit_bounds(
 ) -> tuple[ScaledGaussian, ScaledGaussian]:
     """Least-squares scaled-Gaussian stand-ins for the exact FOU bounds.
 
-    Both fits keep the mean pinned at the FOU center and make one
-    safeguarded Newton search each, in t = ln(sigma) over [ln sig_lo,
-    ln sig_hi], from the exact bound's sigma.  The upper fit keeps scale =
-    1; the lower fit uses variable projection: at each sigma its scale is
-    the closed-form least-squares one, clamped to [1e-12, 1], so the search
-    runs over sigma alone.  A search result that does not clearly beat the
+    Both fits keep the mean pinned at the FOU center and minimize one
+    objective, the SSE against the exact bound on the grid of ``c`` times
+    the unit Gaussian of width sigma, by one safeguarded Newton search
+    each, in t = ln(sigma) over [ln sig_lo, ln sig_hi], from the exact
+    bound's sigma.  The upper fit holds c = 1; the lower fit uses variable
+    projection: at each sigma c is the closed-form least-squares scale,
+    clamped to [1e-12, 1], so the search runs over sigma alone.  A search result that does not clearly beat the
     exact bound's sigma gives way to it.
 
     Returns (fitted_umf, fitted_lmf).  Raises FitDominanceViolated unless
@@ -248,7 +251,7 @@ def fit_bounds(
     if samples < 101:
         raise ValueError(f"need at least 101 samples, got {samples}")
 
-    # The search spans [sig_lo, sig_hi]; curve() divides by sigma squared,
+    # The search spans [sig_lo, sig_hi]; at() divides by sigma squared,
     # so both squares (and 0.5 over the smaller) must be finite and non-zero.
     half = 0.5 * (hi - lo)
     sig_lo = 0.01 * min(m.sigma_lo, half)
@@ -264,81 +267,51 @@ def fit_bounds(
     xs = np.linspace(lo, hi, int(samples))
     center = m.center
     dx2 = (xs - center) ** 2  # finite with hi_sq: |xs - center| <= hi - lo <= sig_hi
-    u_target = m.umf_samples(xs)
-    l_target = m.lmf_samples(xs)
 
-    def curve(sigma: float) -> np.ndarray:
-        return np.exp(dx2 * (-0.5 / (sigma * sigma)))
-
-    def sigma_at(t: float) -> float:
-        return min(max(math.exp(t), sig_lo), sig_hi)
-
-    # The curve g = exp(-h), h = dx2 / (2 sigma^2), and its derivatives in t,
-    # g_t = 2 h g and g_tt = 4 h g (h - 1).  Past h = 750 g is 0.0 anyway, and
-    # h held there keeps h * g from being inf * 0.
-    def curve_terms(t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        sigma = sigma_at(t)
+    # at() gives half of S = |target - c g|^2's derivatives in t, and S, over
+    # the curve g = exp(-h), h = dx2 / (2 sigma^2), with g_t = 2 h g and g_tt
+    # = 4 h g (h - 1).  Past h = 750 g is 0.0 anyway, and h held there keeps
+    # h * g from being inf * 0.  The upper fit holds c = 1, where every
+    # product with c is exact, so its S is |target - g|^2.
+    #
+    # For the lower fit S is, at a fixed sigma, a convex quadratic in c,
+    # and c is its minimum.  A curve that underflows to 0 on the whole grid
+    # leaves S the same for every scale; the floor keeps that lower bound as
+    # low as allowed.  By the envelope theorem S_t = -2 c r.g_t, r = target
+    # - c g, as if c were fixed.  S_tt is the fixed-c one, 2 (c^2 g_t.g_t -
+    # c r.g_tt), less the part c's own move takes back, S_ct^2 / S_cc with
+    # S_ct = 2 (c g.g_t - r.g_t) and S_cc = 2 g.g, where c is not clamped.
+    def at(sigma: float, target: np.ndarray, scaled: bool):
         h = np.minimum(dx2 * (0.5 / (sigma * sigma)), 750.0)
         g = np.exp(-h)
         g_t = 2.0 * h * g
-        return g, g_t, 2.0 * g_t * (h - 1.0)
-
-    def improves(cand_val: float, cur_val: float) -> bool:
-        # Within the float noise floor the objective is flat and a
-        # bracketing search just wanders; only clear improvements count,
-        # which gives every search below an exact resting point.
-        return cand_val < cur_val - 4.0 * _EPS * (1.0 + cur_val)
-
-    def best_sigma(derivs, objective, baseline: float) -> float:
-        cand = sigma_at(_newton_min(derivs, math.log(sig_lo), math.log(sig_hi),
-                                    math.log(baseline)))
-        return cand if improves(objective(cand), objective(baseline)) else baseline
-
-    # Half of S = |u - g|^2's derivatives: S_t = -2 r.g_t and
-    # S_tt = 2 (g_t.g_t - r.g_tt), with r = u - g.
-    def upper_derivs(t: float) -> tuple[float, float]:
-        g, g_t, g_tt = curve_terms(t)
-        r = u_target - g
-        return -float(np.dot(r, g_t)), float(np.dot(g_t, g_t)) - float(np.dot(r, g_tt))
-
-    def upper_sse(sigma: float) -> float:
-        r = u_target - curve(sigma)
-        return float(np.dot(r, r))
-
-    # For a fixed sigma the lower SSE is a convex quadratic in the scale.  A
-    # curve that underflows to 0 on the whole grid leaves the SSE the same
-    # for every scale; the floor keeps that lower bound as low as allowed.
-    def opt_scale(g: np.ndarray) -> float:
-        gg = float(np.dot(g, g))
-        if not gg > 0.0:
-            return 1e-12
-        return min(max(float(np.dot(l_target, g)) / gg, 1e-12), 1.0)
-
-    # Half of S(t) = min over c of |l - c g|^2's derivatives.  By the
-    # envelope theorem S_t = -2 c r.g_t, r = l - c g, as if c were fixed.
-    # S_tt is the fixed-c one, 2 (c^2 g_t.g_t - c r.g_tt), less the part
-    # c's own move takes back, S_ct^2 / S_cc with S_ct = 2 (c g.g_t - r.g_t)
-    # and S_cc = 2 g.g, where c is not clamped.
-    def lower_derivs(t: float) -> tuple[float, float]:
-        g, g_t, g_tt = curve_terms(t)
-        c = opt_scale(g)
-        r = l_target - c * g
+        c = 1.0
+        if scaled:
+            gg = float(np.dot(g, g))
+            c = min(max(float(np.dot(target, g)) / gg, 1e-12), 1.0) if gg > 0.0 else 1e-12
+        r = target - c * g
         r_t = float(np.dot(r, g_t))
-        d2 = c * (c * float(np.dot(g_t, g_t)) - float(np.dot(r, g_tt)))
+        d2 = c * (c * float(np.dot(g_t, g_t)) - float(np.dot(r, 2.0 * g_t * (h - 1.0))))
         if 1e-12 < c < 1.0:  # not clamped, so g.g > 0
-            d2 -= (c * float(np.dot(g, g_t)) - r_t) ** 2 / float(np.dot(g, g))
-        return -c * r_t, d2
+            d2 -= (c * float(np.dot(g, g_t)) - r_t) ** 2 / gg
+        return -c * r_t, d2, (float(np.dot(r, r)), sigma, c)
 
-    def lower_sse(sigma: float) -> float:
-        g = curve(sigma)
-        r = l_target - opt_scale(g) * g
-        return float(np.dot(r, r))
+    # The search ends on a t it evaluated, so its payload is the
+    # candidate's; only the exact sigma, which exp(ln sigma) may miss by an
+    # ulp, is evaluated again.  Within the float noise floor the objective
+    # is flat and a bracketing search just wanders; only clear improvements
+    # count, which gives every search an exact resting point.
+    def fit(target: np.ndarray, baseline: float, scaled: bool) -> ScaledGaussian:
+        sse, sigma, c = _newton_min(
+            lambda t: at(min(max(math.exp(t), sig_lo), sig_hi), target, scaled),
+            math.log(sig_lo), math.log(sig_hi), math.log(baseline))
+        base_sse, base_sigma, base_c = at(baseline, target, scaled)[2]
+        if not sse < base_sse - 4.0 * _EPS * (1.0 + base_sse):
+            sigma, c = base_sigma, base_c
+        return ScaledGaussian(center, sigma, c)
 
-    fitted_umf = ScaledGaussian(center, best_sigma(upper_derivs, upper_sse,
-                                                   float(m.sigma_hi)), 1.0)
-    sigma = best_sigma(lower_derivs, lower_sse, float(m.sigma_lo))
-    fitted_lmf = ScaledGaussian(center, sigma, opt_scale(curve(sigma)))
-
+    fitted_umf = fit(m.umf_samples(xs), float(m.sigma_hi), False)
+    fitted_lmf = fit(m.lmf_samples(xs), float(m.sigma_lo), True)
     if not lower_within_upper(fitted_umf, fitted_lmf):
         raise FitDominanceViolated("fitted lower bound exceeds fitted upper bound")
     return fitted_umf, fitted_lmf

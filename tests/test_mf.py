@@ -321,13 +321,18 @@ def test_widest_fit_window_runs_without_overflow():
         fit_bounds(m, window=(-6.8e153, 6.8e153), samples=101)
 
 
-def traced(derivs):
-    """derivs, recording each t it is called at."""
+def search(derivs, lo, hi, t):
+    """_newton_min's t on derivs and the ts derivs was called at, after
+    checking that the search returned its last call's payload."""
+    ts = []
+
     def wrapped(t):
-        wrapped.ts.append(t)
-        return derivs(t)
-    wrapped.ts = []
-    return wrapped
+        ts.append(t)
+        return (*derivs(t), (len(ts) - 1, t))
+
+    k, t = _newton_min(wrapped, lo, hi, t)
+    assert k == len(ts) - 1
+    return t, ts
 
 
 @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
@@ -340,22 +345,23 @@ def test_newton_min_reaches_every_branch(scale):
     # cosh(t - c)'s steps converge from any start, wherever c lies.
     for k in range(1, 6):
         c = lo + k / 6 * (hi - lo)
-        quad = traced(lambda t: (2.0 * (t - c), 2.0))
-        assert abs(_newton_min(quad, lo, hi, lo + 0.1) - c) <= 2.0 * tol
-        assert len(quad.ts) == 2
-        cosh = traced(lambda t: (math.sinh(t - c), math.cosh(t - c)))
-        assert abs(_newton_min(cosh, lo, hi, hi - 0.1) - c) <= 2.0 * tol
-        assert len(cosh.ts) <= 10
+        t, ts = search(lambda t: (2.0 * (t - c), 2.0), lo, hi, lo + 0.1)
+        assert abs(t - c) <= 2.0 * tol
+        assert len(ts) == 2
+        t, ts = search(lambda t: (math.sinh(t - c), math.cosh(t - c)), lo, hi, hi - 0.1)
+        assert abs(t - c) <= 2.0 * tol
+        assert len(ts) <= 10
 
     # A second derivative not above 0 bisects: -exp(-(t - c)^2 / 2) is
     # concave more than one from c, so the first step goes to the middle
     # of [start, hi], and Newton then takes over.
     c = hi - 0.5
-    well = traced(lambda t: ((t - c) * math.exp(-0.5 * (t - c) ** 2),
-                             (1.0 - (t - c) ** 2) * math.exp(-0.5 * (t - c) ** 2)))
-    assert abs(_newton_min(well, lo, hi, lo + 0.5) - c) <= 2.0 * tol
-    assert well.ts[1] == 0.5 * (lo + 0.5 + hi)
-    assert len(well.ts) <= 12
+    t, ts = search(lambda t: ((t - c) * math.exp(-0.5 * (t - c) ** 2),
+                              (1.0 - (t - c) ** 2) * math.exp(-0.5 * (t - c) ** 2)),
+                   lo, hi, lo + 0.5)
+    assert abs(t - c) <= 2.0 * tol
+    assert ts[1] == 0.5 * (lo + 0.5 + hi)
+    assert len(ts) <= 12
 
     # A minimum at either end: a step past it and a flat second derivative
     # both bisect, until the bracket is a few ulps wide at that end.
@@ -364,11 +370,10 @@ def test_newton_min_reaches_every_branch(scale):
                         (lo, lambda t: (1.0, 0.0)),
                         (lo, lambda t: (2.0 * (t - lo + 1.0), 2.0)),
                         (hi, lambda t: (-1.0, -1.0))):
-        assert abs(_newton_min(derivs, lo, hi, mid) - end) <= tol
+        assert abs(search(derivs, lo, hi, mid)[0] - end) <= tol
 
     # A derivative exactly 0 at the start stops there, after one call.
-    flat = traced(lambda t: (0.0, -1.0))
-    assert _newton_min(flat, lo, hi, mid) == mid and flat.ts == [mid]
+    assert search(lambda t: (0.0, -1.0), lo, hi, mid) == (mid, [mid])
 
 
 LOWER_FIT_FOUS = ([fou(k / 100) for k in range(21)]
@@ -393,24 +398,66 @@ UNCERTAIN_SIGMA_FOUS = [IT2Gaussian.uncertain_sigma(c, sigma * (1.0 - k / 10), s
                         for k in range(7)]
 
 
-def test_fit_searches_take_few_steps(monkeypatch):
-    # Newton from the exact bound's sigma converges in a few steps on every
-    # family; a stop rule that fell back to bisection would take ~50.
+def counted_searches(monkeypatch):
+    """The step count of each ``_newton_min`` that ``fit_bounds`` runs, in
+    order; each search is checked to return its last call's payload."""
     steps = []
 
     def counted(derivs, lo, hi, t):
-        wrapped = traced(derivs)
-        t = _newton_min(wrapped, lo, hi, t)
-        steps.append(len(wrapped.ts))
-        return t
+        payloads = []
+
+        def wrapped(t):
+            out = derivs(t)
+            payloads.append(out[2])
+            return out
+
+        payload = _newton_min(wrapped, lo, hi, t)
+        assert payload is payloads[-1]
+        steps.append(len(payloads))
+        return payload
 
     monkeypatch.setattr(mf, "_newton_min", counted)
+    return steps
+
+
+def test_fit_searches_take_few_steps(monkeypatch):
+    # Newton from the exact bound's sigma converges in a few steps on every
+    # family; a stop rule that fell back to bisection would take ~50.
+    steps = counted_searches(monkeypatch)
     fous = (DESIGN_FOUS + LOWER_FIT_FOUS + UNCERTAIN_SIGMA_FOUS
             + [fou(0.25 * s, s) for s in SCALE_FREE_SIGMAS])
     for m in fous:
         fit_bounds(m)
     assert len(steps) == 2 * len(fous)
     assert max(steps) <= 9
+
+
+@pytest.mark.parametrize("samples", [101, 1001])
+def test_fit_runs_its_grid_exp_once_per_step_plus_two(monkeypatch, samples):
+    # Each search step evaluates the curve once. The candidate's SSE and the
+    # lower fit's scale come with the search's last step, so only the two
+    # exact-sigma baselines evaluate it again. umf_samples and lmf_samples
+    # bind np.exp when they are defined, so the targets fall outside the
+    # count.
+    steps = counted_searches(monkeypatch)
+    exps = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def exp(x, *args, **kwargs):
+            exps.append(np.shape(x) == (samples,))
+            return np.exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(mf, "np", CountingNumpy())
+    for m in DESIGN_FOUS + LOWER_FIT_FOUS + UNCERTAIN_SIGMA_FOUS[::5]:
+        steps.clear()
+        exps.clear()
+        fit_bounds(m, samples=samples)
+        assert len(steps) == 2 and all(exps)
+        assert len(exps) == sum(steps) + 2
 
 
 def test_fit_attaches_both_bounds():

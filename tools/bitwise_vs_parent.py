@@ -49,12 +49,18 @@ first on the path, and prints one sha1 per key:
   ``ref/`` and ``curves/`` run one engine over all its points before the
   next, so only here does an engine meet the curves its twin just swept;
 * ``samples/...``: the bytes of ``umf_samples`` and ``lmf_samples`` on the
-  default fit grid (``default_fit_window``, 1001 points) of each ``fit/``
-  FOU below and of three uncertain-sigma sets (``SIGMA_FOUS``);
+  default fit grid (``default_fit_window``, 1001 points) of the
+  ``FIT_SPREADS`` and ``design`` FOUs below and of four uncertain-sigma
+  sets (``SIGMA_FOUS``);
 * ``fit/...``: the ``float.hex`` of ``fit_bounds``' six parameters for
-  uncertain-mean spreads 0 to 0.2 at sigma 0.418 (``FIT_SPREADS``) and
-  the first 60 inputs of perfbench's ``design`` workload at seed 1
-  (spread 0.05 to 0.2, sigma 0.3 to 0.5);
+  uncertain-mean spreads 0 to 0.2 at sigma 0.418 (``FIT_SPREADS``), the
+  first 60 inputs of perfbench's ``design`` workload at seed 1 (spread
+  0.05 to 0.2, sigma 0.3 to 0.5), the four ``SIGMA_FOUS``, whose lower
+  scale clamps at 1 on the first three and rounds to 1 ulp under 1 on the
+  last, the scale-free pair at sigma 1e-150 and 1e150 (spread 0.25
+  sigma), and spread 0.1 at sigma 0.4 over the windows (-0.1, 1e6) and
+  (-0.1, 0.1), the latter's upper search ending on its bracket at sigma
+  1.6;
 * ``rowsum/...``: the ``float.hex`` of every row sum ``_row_fsum`` returns,
   or the name of the error it raises, over fixed matrices: each of the
   tie and special rows of its tests (``ROWSUM_SPECIAL_ROWS``) with a row
@@ -68,7 +74,8 @@ first on the path, and prints one sha1 per key:
   sum is the same.
 
 It prints the keys that differ, or that only one side has, and exits 1
-if there are any, 0 otherwise.
+if there are any, 0 otherwise.  Both sides run this file's ``dump()``, so
+they hash the same keys: 586 of them, 89 under ``fit/``.
 """
 
 from __future__ import annotations
@@ -96,7 +103,10 @@ REF_TOKENS = ("gc-ref", "nt-ref", "gc-ref-exact", "nt-ref-exact")
 REF_PAIRS = (("gc-ref", "nt-ref"), ("gc-ref-exact", "nt-ref-exact"))
 REF_DESIGN_OPS = 20
 FIT_SPREADS = tuple(k / 100 for k in range(21))
-SIGMA_FOUS = ((0.0, 0.2, 0.35), (-0.4, 0.3, 0.3), (0.7, 0.05, 0.6))
+SIGMA_FOUS = ((0.0, 0.2, 0.35), (-0.4, 0.3, 0.3), (0.7, 0.05, 0.6),
+              (0.0, 0.16720000000000002, 0.418))
+FIT_SCALE_FREE_SIGMAS = (1e-150, 1e150)
+FIT_WINDOWS = ((-0.1, 1e6), (-0.1, 0.1))
 ROWSUM_SPECIAL_ROWS = (
     (1.0, 2.0 ** -53, 2.0 ** -105), (1.0, 2.0 ** -53, -(2.0 ** -105)), (1.0, 2.0 ** -53),
     (1.0, -(2.0 ** -54), 2.0 ** -107), (1.0, -(2.0 ** -54), -(2.0 ** -107)),
@@ -283,8 +293,14 @@ def dump() -> dict[str, str]:
             xs = np.linspace(*default_fit_window(m), 1001)
             out[f"samples/{kind}/{name}"] = _sha1(m.umf_samples(xs).tobytes()
                                                   + m.lmf_samples(xs).tobytes())
-    for name, m in mean_sets.items():
-        umf, lmf = fit_bounds(m)
+    fits = {name: (m, None) for name, m in (mean_sets | sigma_sets).items()}
+    for sigma in FIT_SCALE_FREE_SIGMAS:
+        fits[f"{0.25 * sigma!r},{sigma!r}"] = (
+            IT2Gaussian.uncertain_mean(-0.25 * sigma, 0.25 * sigma, sigma), None)
+    for window in FIT_WINDOWS:
+        fits[f"0.1,0.4,window={window!r}"] = (IT2Gaussian.uncertain_mean(-0.1, 0.1, 0.4), window)
+    for name, (m, window) in fits.items():
+        umf, lmf = fit_bounds(m, window)
         out[f"fit/{name}"] = _sha1(",".join(
             v.hex() for g in (umf, lmf) for v in (g.mean, g.sigma, g.scale)))
 
